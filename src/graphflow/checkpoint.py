@@ -4,11 +4,13 @@ Layout: magic b"AGFW", then little-endian u32 format version and entry
 count, then per entry: u32 name length, UTF-8 name, u32 rank, u32
 extents, and the values as row-major little-endian IEEE-754 float32.
 Writing the same entries twice produces identical bytes, so trained
-results can be compared with a file hash.
+results can be compared with a file hash. A finished sibling temp file
+replaces the target, so an interrupted write leaves the old one intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -36,7 +38,12 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(bytes(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

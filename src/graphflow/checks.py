@@ -19,10 +19,10 @@ from .data import FlowField
 from .gradcheck import gradcheck
 from .graph import GraphBlock
 from .model import FlowModel, sequence_loss
-from .tensor import (Tensor, absolute, add, avg_pool2x2, batched_sample,
-                     bilinear_sample, concat, conv2d, expand, l2_normalize,
-                     matmul, mul, relu, reshape, scale, sigmoid, softmax,
-                     tanh, tmean, transpose, tsum)
+from .tensor import (Tensor, absolute, add, avg_pool2x2, bilinear_sample,
+                     concat, conv2d, expand, l2_normalize, matmul, mul, relu,
+                     reshape, scale, sigmoid, softmax, tanh, tmean, transpose,
+                     tsum, window_sample)
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -142,12 +142,12 @@ def _op_cases(rng):
     case("bilinear_sample", {"map": bm, "coords": bc},
          lambda: tsum(mul(bilinear_sample(bm, bc), bw)))
 
-    bv = _param(rng, (3, 4, 4))
-    bcc = Tensor(_fractional(rng, (2, 3, 5), 0, 3), requires_grad=True,
-                 dtype=np.float64)
-    bvw = _weights(rng, (3, 5))
-    case("batched_sample", {"vol": bv, "coords": bcc},
-         lambda: tsum(mul(batched_sample(bv, bcc), bvw)))
+    wv = _param(rng, (3, 4, 4))
+    wc = Tensor(_fractional(rng, (2, 3), -1, 4), requires_grad=True,
+                dtype=np.float64)
+    ww = _weights(rng, (9, 3))
+    case("window_sample", {"vol": wv, "centers": wc},
+         lambda: tsum(mul(window_sample(wv, wc, 1), ww)))
 
     return cases
 

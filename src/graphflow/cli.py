@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FormatError, DimensionError, ContractError) as exc:
+    except (FormatError, DimensionError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -276,6 +276,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}: non-numeric header fields {fields}") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: nonsensical extents {w}x{h} in the header")
     need = pos + 3 * w * h
     if len(blob) < need:
         raise FormatError(f"{path}: pixel data ends at {len(blob)}, expected {need}")

@@ -22,9 +22,9 @@ from .data import FlowField
 from .errors import ConfigError, ContractError, DimensionError
 from .graph import GraphBlock
 from .layers import Conv2d
-from .tensor import (Tensor, absolute, add, avg_pool2x2, batched_sample,
-                     bilinear_sample, concat, expand, matmul, mul, no_grad,
-                     relu, reshape, scale, sigmoid, tanh, transpose, tsum)
+from .tensor import (Tensor, absolute, add, avg_pool2x2, bilinear_sample,
+                     concat, matmul, mul, no_grad, relu, reshape, scale,
+                     sigmoid, tanh, transpose, tsum, window_sample)
 
 PYRAMID_LEVELS = 4
 
@@ -172,24 +172,16 @@ def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
     n = h * w
     if flow.shape != (2, h, w):
         raise DimensionError(f"flow {flow.shape} does not match grid {(2, h, w)}")
-    side = 2 * radius + 1
-    s = side * side
+    s = (2 * radius + 1) ** 2
     dtype = flow.dtype
     ys, xs = np.meshgrid(np.arange(h, dtype=dtype), np.arange(w, dtype=dtype),
                          indexing="ij")
-    grid = Tensor(np.stack([xs, ys]), dtype=dtype)
-    dy, dx = np.meshgrid(np.arange(-radius, radius + 1, dtype=dtype),
-                         np.arange(-radius, radius + 1, dtype=dtype),
-                         indexing="ij")
-    offsets = Tensor(np.stack([dx.reshape(-1), dy.reshape(-1)])
-                     .reshape(2, 1, s), dtype=dtype)
-    centers = reshape(add(grid, flow), (2, n, 1))
+    grid = Tensor(np.stack([xs.reshape(-1), ys.reshape(-1)]), dtype=dtype)
+    centers = add(grid, reshape(flow, (2, n)))
     out = []
     for lvl, vol in enumerate(pyr.levels):
-        coords = add(expand(scale(centers, 1.0 / 2 ** lvl), (2, n, s)),
-                     expand(offsets, (2, n, s)))
-        sampled = batched_sample(vol, coords)          # (N, S)
-        out.append(reshape(transpose(sampled), (s, h, w)))
+        sampled = window_sample(vol, scale(centers, 1.0 / 2 ** lvl), radius)
+        out.append(reshape(sampled, (s, h, w)))
     return concat(out, axis=0)
 
 

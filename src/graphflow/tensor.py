@@ -16,6 +16,10 @@ Broadcasting is restricted to leading unit extents (after ranks are
 aligned on the left). Anything fancier must go through ``expand``,
 which makes the replication explicit and keeps every backward rule a
 plain sum over known axes.
+
+The correlation lookup's op, ``window_sample``, gathers one integer
+window per pixel and pyramid level from a zero-padded copy of the
+level, then blends it once with that pixel's four bilinear weights.
 """
 
 from __future__ import annotations
@@ -730,67 +734,62 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x, coords), backward)
 
 
-def batched_sample(vol: Tensor, coords: Tensor) -> Tensor:
-    """Per-slice bilinear gather: (N, H, W) sampled at (2, N, S) -> (N, S).
+def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
+    """Bilinear windows around per-slice centres: (N,H,W), (2,N) -> (S,N).
 
-    Slice n of the volume is only read at coords[:, n, :]; everything
-    outside the map reads as zero. Used to look windows of a cost
-    volume up around per-pixel centers.
+    Slice n is read at centers[:, n] + (dx, dy) for the S = (2r+1)^2
+    integer offsets in [-r, r], dy outer; outside the map reads zero.
+    The offsets share one fractional part, so each slice gathers one
+    (2r+2)^2 window from a zero-padded copy and blends it once.
     """
-    vol, coords = _as_tensor(vol), _as_tensor(coords)
-    _check_same_dtype(vol, coords)
+    vol, centers = _as_tensor(vol), _as_tensor(centers)
+    _check_same_dtype(vol, centers)
     if vol.data.ndim != 3:
-        raise DimensionError(f"batched_sample volume must be (N,H,W), got {vol.shape}")
-    if coords.data.ndim != 3 or coords.shape[0] != 2:
-        raise DimensionError(f"coords must be (2,N,S), got {coords.shape}")
-    if coords.shape[1] != vol.shape[0]:
-        raise DimensionError(
-            f"coords slice count {coords.shape[1]} != volume slices {vol.shape[0]}"
-        )
+        raise DimensionError(f"window_sample volume must be (N,H,W), got {vol.shape}")
+    if centers.shape != (2, vol.shape[0]):
+        raise DimensionError(f"centers must be (2,{vol.shape[0]}) for volume "
+                             f"{vol.shape}, got {centers.shape}")
+    if radius < 0:
+        raise ContractError(f"window radius must be >= 0, got {radius}")
     n, h, w = vol.shape
-    s = coords.shape[2]
-    rows = np.arange(n)[:, None]
-    cx, cy = coords.data[0], coords.data[1]
-    x0 = np.floor(cx).astype(np.int64)
-    y0 = np.floor(cy).astype(np.int64)
+    k = 2 * radius + 2                 # window extent, also the pad width
+    hp, wp = h + 2 * k, w + 2 * k
+    cx, cy = centers.data
+    x0, y0 = np.floor(cx), np.floor(cy)
     fx, fy = cx - x0, cy - y0
-    corners = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yi, xi = y0 + dy, x0 + dx
-            valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-            yc = np.clip(yi, 0, h - 1)
-            xc = np.clip(xi, 0, w - 1)
-            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            val = vol.data[rows, yc, xc] * valid
-            corners.append((wgt, val, valid, yc, xc))
-    out_data = corners[0][0] * corners[0][1]
-    for wgt, val, _, _, _ in corners[1:]:
-        out_data = out_data + wgt * val
-    out_data = out_data.astype(vol.data.dtype, copy=False)
+    # window origin in padded coordinates; a window wholly off the map
+    # is clamped into the padding, so it still reads zeros only
+    xs = np.clip(x0.astype(np.int64) - radius, -k, w) + k
+    ys = np.clip(y0.astype(np.int64) - radius, -k, h) + k
+    steps = np.arange(k)[:, None]
+    rows = np.arange(n) * hp + ys + steps                         # (k, N)
+    lin = rows[:, None] * wp + (xs + steps)                       # (k, k, N)
+    padded = np.zeros((n, hp, wp), dtype=vol.data.dtype)
+    padded[:, k:k + h, k:k + w] = vol.data
+    win = padded.reshape(-1)[lin]
+    v00, v01 = win[:-1, :-1], win[:-1, 1:]
+    v10, v11 = win[1:, :-1], win[1:, 1:]
+    w00, w01 = (1.0 - fx) * (1.0 - fy), fx * (1.0 - fy)
+    w10, w11 = (1.0 - fx) * fy, fx * fy
+    out_data = (w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).reshape(-1, n)
 
     def backward(g):
+        g = g.reshape(k - 1, k - 1, n)
         if vol.requires_grad:
-            idx_parts, val_parts = [], []
-            base = (np.arange(n) * h * w)[:, None]
-            for wgt, _, valid, yc, xc in corners:
-                idx_parts.append((base + yc * w + xc).ravel())
-                val_parts.append((g * wgt * valid).ravel())
-            acc = np.bincount(np.concatenate(idx_parts),
-                              weights=np.concatenate(val_parts),
-                              minlength=n * h * w)
-            vol._accum(acc.reshape(n, h, w).astype(vol.data.dtype, copy=False))
-        if coords.requires_grad:
-            (_, v00, _, _, _), (_, v01, _, _, _) = corners[0], corners[1]
-            (_, v10, _, _, _), (_, v11, _, _, _) = corners[2], corners[3]
+            gwin = np.zeros_like(win)
+            gwin[:-1, :-1] += g * w00
+            gwin[:-1, 1:] += g * w01
+            gwin[1:, :-1] += g * w10
+            gwin[1:, 1:] += g * w11
+            # one window per slice, so the indexed write never collides
+            gpad = np.zeros(n * hp * wp, dtype=vol.data.dtype)
+            gpad[lin] = gwin
+            vol._accum(gpad.reshape(n, hp, wp)[:, k:k + h, k:k + w])
+        if centers.requires_grad:
             dout_dx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
             dout_dy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-            gc = np.stack([g * dout_dx, g * dout_dy])
-            coords._accum(gc.astype(coords.data.dtype, copy=False))
+            gc = np.stack([(g * dout_dx).reshape(-1, n).sum(axis=0),
+                           (g * dout_dy).reshape(-1, n).sum(axis=0)])
+            centers._accum(gc.astype(centers.data.dtype, copy=False))
 
-    return Tensor._from_op(out_data, (vol, coords), backward)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+    return Tensor._from_op(out_data, (vol, centers), backward)

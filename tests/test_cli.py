@@ -220,6 +220,15 @@ class TestViz:
         bad.write_bytes(b"\x00" * 20)
         assert main(["viz", str(bad), str(tmp_path / "x.ppm")]) == 3
 
+    @pytest.mark.parametrize("name", ["missing.flo", "a_directory"])
+    def test_unreadable_file_exits_with_the_data_code(self, tmp_path, capsys,
+                                                      name):
+        (tmp_path / "a_directory").mkdir()
+        code = main(["viz", str(tmp_path / name), str(tmp_path / "x.ppm")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBench:
     def test_reports_components_and_graph_ordering(self, tmp_path, capsys):

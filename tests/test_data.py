@@ -171,6 +171,13 @@ class TestPpmContainer:
         with pytest.raises(FormatError, match="ends at"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("extents", [b"-2 3", b"2 0", b"0 0"])
+    def test_non_positive_extents_are_rejected(self, tmp_path, extents):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"P6\n" + extents + b"\n255\n" + b"\x00" * 12)
+        with pytest.raises(FormatError, match="extents"):
+            read_ppm(path)
+
 
 class TestFlowColor:
     def test_zero_flow_renders_white(self):

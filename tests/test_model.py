@@ -145,6 +145,64 @@ class TestLookup:
         ref = naive_lookup([l.data for l in pyr.levels], flow, 2)
         assert np.allclose(out.data, ref, atol=1e-5)
 
+    @staticmethod
+    def _integer_pyramid(rng, h, w):
+        """Integer features with c = 4: every cost and pooled cost is exact."""
+        f1 = rng.integers(-3, 4, size=(4, h, w)).astype(np.float64)
+        f2 = rng.integers(-3, 4, size=(4, h, w)).astype(np.float64)
+        return build_corr_pyramid(t64(f1), t64(f2))
+
+    @pytest.mark.parametrize("border", ["left", "right", "top", "bottom"])
+    def test_windows_straddling_a_border_match_the_oracle_bitwise(self, f64,
+                                                                  border):
+        rng = np.random.default_rng(13)
+        h, w = 6, 7
+        pyr = self._integer_pyramid(rng, h, w)
+        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+        near = rng.integers(-8, 9, size=(h, w)) / 4.0
+        flow = rng.integers(-8, 9, size=(2, h, w)) / 4.0
+        axis, edge, pos = {"left": (0, 0, xs), "right": (0, w - 1, xs),
+                           "top": (1, 0, ys), "bottom": (1, h - 1, ys)}[border]
+        flow[axis] = edge + near - pos       # every centre within 2 px of the edge
+        out = lookup(pyr, t64(flow), radius=2)
+        ref = naive_lookup([l.data for l in pyr.levels], flow, 2)
+        assert np.array_equal(out.data, ref)
+
+    @pytest.mark.parametrize("axis,sign", [(0, -1), (0, 1), (1, -1), (1, 1)])
+    def test_windows_wholly_off_the_map_read_zero_at_every_level(self, f64,
+                                                                 axis, sign):
+        rng = np.random.default_rng(14)
+        pyr = self._integer_pyramid(rng, 6, 6)
+        flow = rng.integers(-8, 9, size=(2, 6, 6)) / 4.0
+        flow[axis] = sign * rng.integers(144, 161, size=(6, 6)) / 4.0
+        out = lookup(pyr, t64(flow), radius=1)
+        ref = naive_lookup([l.data for l in pyr.levels], flow, 1)
+        assert not out.data.any()
+        assert np.array_equal(out.data, ref)
+
+    def test_radius_zero_matches_the_oracle_bitwise(self, f64):
+        rng = np.random.default_rng(15)
+        pyr = self._integer_pyramid(rng, 5, 6)
+        flow = rng.integers(-12, 13, size=(2, 5, 6)) / 4.0
+        out = lookup(pyr, t64(flow), radius=0)
+        assert out.shape == (4, 5, 6)
+        ref = naive_lookup([l.data for l in pyr.levels], flow, 0)
+        assert np.array_equal(out.data, ref)
+
+    def test_finite_difference_check_in_features_and_flow(self, f64):
+        rng = np.random.default_rng(16)
+        f1 = t64(rng.normal(size=(3, 5, 5)), grad=True)
+        f2 = t64(rng.normal(size=(3, 5, 5)), grad=True)
+        # p + flow(p) sits 0.2 to 0.8 px past an integer, so no centre
+        # is on a bilinear kink at any level
+        flow = t64(rng.integers(-3, 4, size=(2, 5, 5))
+                   + rng.uniform(0.2, 0.8, size=(2, 5, 5)), grad=True)
+        wsum = t64(rng.normal(size=(4 * 9, 5, 5)))
+        rep = gradcheck(
+            lambda: tsum(mul(lookup(build_corr_pyramid(f1, f2), flow, 1), wsum)),
+            {"f1": f1, "f2": f2, "flow": flow})
+        assert rep.max_rel_err < 1e-6
+
 
 class TestMotionEncoderAndGru:
     def test_motion_encoder_output_channels(self, f64):

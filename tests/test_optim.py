@@ -1,5 +1,7 @@
 """AdamW stepping, the one-cycle schedule, and checkpoint serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,24 @@ class TestCheckpointContainer:
         for k in entries:
             assert np.array_equal(back[k], entries[k])
             assert back[k].dtype == np.float32
+
+    def test_failed_write_leaves_the_previous_file_intact(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "model.agfw"
+        save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)})
+        before = path.read_bytes()
+
+        def half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"w": np.ones(6, dtype=np.float32)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.agfw"]
 
     def test_rewriting_identical_state_gives_identical_bytes(self, tmp_path):
         entries = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}

@@ -5,10 +5,11 @@ import pytest
 
 from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
-from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2, batched_sample,
+from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2,
                               bilinear_sample, concat, conv2d, expand,
                               l2_normalize, matmul, mul, relu, reshape, scale,
-                              sigmoid, softmax, tanh, tmean, transpose, tsum)
+                              sigmoid, softmax, tanh, tmean, transpose, tsum,
+                              window_sample)
 from graphflow.gradcheck import gradcheck
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
@@ -355,31 +356,38 @@ class TestBilinearSample:
         assert rep.max_rel_err < 1e-6
 
 
-class TestBatchedSample:
+class TestWindowSample:
     def test_matches_per_slice_oracle(self):
         rng = np.random.default_rng(23)
         vol = rng.normal(size=(4, 5, 6))
-        cx = rng.uniform(-1.0, 6.0, size=(4, 7))
-        cy = rng.uniform(-1.0, 5.0, size=(4, 7))
-        out = batched_sample(c64(vol), c64(np.stack([cx, cy]))).data
+        cx = rng.uniform(-3.0, 8.0, size=4)
+        cy = rng.uniform(-3.0, 7.0, size=4)
+        out = window_sample(c64(vol), c64(np.stack([cx, cy])), 1).data
+        assert out.shape == (9, 4)
         for nn in range(4):
-            for ss in range(7):
-                ref = naive_bilinear(vol[nn][None], cx[nn, ss], cy[nn, ss])[0]
-                assert np.allclose(out[nn, ss], ref, atol=1e-14)
+            for ss in range(9):
+                dy, dx = divmod(ss, 3)
+                ref = naive_bilinear(vol[nn][None], cx[nn] + dx - 1,
+                                     cy[nn] + dy - 1)[0]
+                assert np.allclose(out[ss, nn], ref, atol=1e-14)
 
-    def test_finite_difference_agreement_in_volume_and_coords(self):
+    def test_finite_difference_agreement_in_volume_and_centers(self):
         rng = np.random.default_rng(24)
         vol = p64(rng.normal(size=(3, 4, 4)))
-        coords = p64(rng.uniform(0.6, 2.4, size=(2, 3, 5)))
+        # fractional parts away from the integer kinks; windows cross borders
+        centers = p64(rng.integers(-1, 4, size=(2, 3))
+                      + rng.uniform(0.2, 0.8, size=(2, 3)))
         rep = gradcheck(
-            lambda: tsum(mul(batched_sample(vol, coords),
-                             batched_sample(vol, coords))),
-            {"vol": vol, "coords": coords})
+            lambda: tsum(mul(window_sample(vol, centers, 2),
+                             window_sample(vol, centers, 2))),
+            {"vol": vol, "centers": centers})
         assert rep.max_rel_err < 1e-6
 
     def test_slice_count_mismatch_is_rejected(self):
         with pytest.raises(DimensionError):
-            batched_sample(c64(np.zeros((3, 4, 4))), c64(np.zeros((2, 5, 2))))
+            window_sample(c64(np.zeros((3, 4, 4))), c64(np.zeros((2, 5))), 1)
+        with pytest.raises(ContractError):
+            window_sample(c64(np.zeros((3, 4, 4))), c64(np.zeros((2, 3))), -1)
 
 
 class TestBackward:
