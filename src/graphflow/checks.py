@@ -19,10 +19,10 @@ from .data import FlowField
 from .gradcheck import gradcheck
 from .graph import GraphBlock
 from .model import FlowModel, sequence_loss
-from .tensor import (Tensor, absolute, add, avg_pool2x2, bilinear_sample,
-                     concat, conv2d, expand, l2_normalize, matmul, mul, relu,
-                     reshape, scale, sigmoid, softmax, tanh, tmean, transpose,
-                     tsum, window_sample)
+from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv2d,
+                     expand, l2_normalize, matmul, mul, relu, reshape, scale,
+                     sigmoid, softmax, tanh, tmean, transpose, tsum,
+                     window_sample)
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -134,13 +134,6 @@ def _op_cases(rng):
     px = _param(rng, (2, 5, 5))
     pw = _weights(rng, (2, 3, 3))
     case("avg_pool2x2", {"x": px}, lambda: tsum(mul(avg_pool2x2(px), pw)))
-
-    bm = _param(rng, (2, 4, 4))
-    bc = Tensor(_fractional(rng, (2, 3, 3), 0, 3), requires_grad=True,
-                dtype=np.float64)
-    bw = _weights(rng, (2, 3, 3))
-    case("bilinear_sample", {"map": bm, "coords": bc},
-         lambda: tsum(mul(bilinear_sample(bm, bc), bw)))
 
     wv = _param(rng, (3, 4, 4))
     wc = Tensor(_fractional(rng, (2, 3), -1, 4), requires_grad=True,

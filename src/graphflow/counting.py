@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .config import ModelConfig
 from .errors import DimensionError
-from .graph import analytic_param_count
 from .model import PYRAMID_LEVELS, FlowModel
 
 COMPONENTS = ("feature_encoder", "context_encoder", "motion_encoder",
@@ -133,10 +132,3 @@ def count_flops(cfg: ModelConfig, height: int, width: int) -> dict[str, int]:
     }
     out["total"] = sum(out.values())
     return out
-
-
-def graph_param_delta(cfg: ModelConfig) -> dict[str, int]:
-    """Graph-stage capacity per mode at this configuration's dims."""
-    c, k = cfg.context_channels, cfg.nodes
-    return {mode: analytic_param_count(c, k, mode)
-            for mode in ("base", "sgr", "agr")}

@@ -353,19 +353,11 @@ def epe(pred, gt) -> float:
     return float(err[valid].sum() / valid.sum())
 
 
-def f1_all(pred, gt, tau: float = 3.0, kitti_relative: bool = False) -> float:
-    """Percentage of valid pixels whose error exceeds ``tau`` pixels.
-
-    ``kitti_relative`` additionally requires the error to exceed 5% of
-    the ground-truth magnitude (the stricter dual criterion); off by
-    default, which matches the single-threshold definition.
-    """
+def f1_all(pred, gt, tau: float = 3.0) -> float:
+    """Percentage of valid pixels whose end-point error exceeds ``tau``
+    pixels (the single-threshold definition)."""
     err, valid = _metric_inputs(pred, gt)
     bad = err > tau
-    if kitti_relative:
-        garr = gt.array if isinstance(gt, FlowField) else np.asarray(gt)
-        gmag = np.sqrt((garr.astype(np.float64) ** 2).sum(axis=0))
-        bad = bad & (err > 0.05 * gmag)
     return float(100.0 * bad[valid].sum() / valid.sum())
 
 

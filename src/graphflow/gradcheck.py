@@ -34,13 +34,6 @@ class GradReport:
             raise ContractError("empty report: no parameters were checked")
         return max(self.per_param.values())
 
-    def format(self, tol: float) -> str:
-        lines = []
-        for name, err in self.per_param.items():
-            status = "ok" if err < tol else "FAIL"
-            lines.append(f"  {name}\t{err:.3e}\t{status}")
-        return "\n".join(lines)
-
 
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))

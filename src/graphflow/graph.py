@@ -42,18 +42,6 @@ class NodeSet:
     source_shape: tuple[int, int, int]
 
 
-@dataclass
-class Adjacency:
-    """Node-to-node coupling matrix (K, K); ``kind`` is 'plain' or 'adapted'."""
-
-    matrix: Tensor
-    kind: str
-
-
-def _adj_matrix(adj) -> Tensor:
-    return adj.matrix if isinstance(adj, Adjacency) else adj
-
-
 def embed_nodes(f: Tensor, conv1: Conv2d, conv2: Conv2d) -> NodeSet:
     """Project a (c, h, w) map onto K nodes.
 
@@ -73,27 +61,25 @@ def embed_nodes(f: Tensor, conv1: Conv2d, conv2: Conv2d) -> NodeSet:
     return NodeSet(nodes=nodes, proj=proj, source_shape=(c, h, w))
 
 
-def build_adjacency(nodes: NodeSet | Tensor) -> Adjacency:
-    """Inner-product similarity graph V^T V of unit-normalized nodes."""
-    v = nodes.nodes if isinstance(nodes, NodeSet) else nodes
+def build_adjacency(v: Tensor) -> Tensor:
+    """Inner-product similarity graph V^T V (K, K) of unit-normalized nodes."""
     if v.data.ndim != 2:
         raise DimensionError(f"adjacency needs (C,K) nodes, got {v.shape}")
-    return Adjacency(matrix=matmul(transpose(v), v), kind="plain")
+    return matmul(transpose(v), v)
 
 
-def gcn_step(nodes: Tensor, adj, weight: Tensor) -> Tensor:
+def gcn_step(nodes: Tensor, adj: Tensor, weight: Tensor) -> Tensor:
     """One propagation step: relu((A V^T W)^T)."""
-    a = _adj_matrix(adj)
     c, k = nodes.shape
-    if a.shape != (k, k):
-        raise DimensionError(f"adjacency {a.shape} does not match {k} nodes")
+    if adj.shape != (k, k):
+        raise DimensionError(f"adjacency {adj.shape} does not match {k} nodes")
     if weight.shape != (c, c):
         raise DimensionError(f"propagation weight {weight.shape} must be ({c},{c})")
-    mixed = matmul(a, transpose(nodes))                # (K, C)
+    mixed = matmul(adj, transpose(nodes))              # (K, C)
     return relu(transpose(matmul(mixed, weight)))      # (C, K)
 
 
-def reason(nodes: Tensor, adj, weight: Tensor, steps: int) -> Tensor:
+def reason(nodes: Tensor, adj: Tensor, weight: Tensor, steps: int) -> Tensor:
     """Iterate ``gcn_step`` a fixed positive number of times."""
     if steps < 1:
         raise ContractError(f"reasoning steps must be >= 1, got {steps}")
@@ -114,9 +100,8 @@ def predict_adapter_kernel(ctx_nodes: Tensor, theta_w: Tensor,
     return softmax(logits, axis=1)
 
 
-def graph_adapter(motion: NodeSet | Tensor, kernel: Tensor, w1: Tensor,
-                  b1: Tensor) -> Adjacency:
-    """Adapted motion adjacency.
+def graph_adapter(v: Tensor, kernel: Tensor, w1: Tensor, b1: Tensor) -> Tensor:
+    """Adapted motion adjacency (K, K).
 
     A two-layer map is applied to the motion nodes: a learned
     channel-wise layer with ReLU, then the predicted kernel as the
@@ -124,13 +109,12 @@ def graph_adapter(motion: NodeSet | Tensor, kernel: Tensor, w1: Tensor,
     adjacency, so it is symmetric positive semidefinite by
     construction.
     """
-    v = motion.nodes if isinstance(motion, NodeSet) else motion
     c, k = v.shape
     if kernel.shape != (k, k):
         raise DimensionError(f"kernel {kernel.shape} must be ({k},{k})")
     hidden = relu(add(matmul(w1, v), expand(reshape(b1, (c, 1)), (c, k))))
     adapted = matmul(hidden, kernel)                   # (C, K)
-    return Adjacency(matrix=matmul(transpose(adapted), adapted), kind="adapted")
+    return matmul(transpose(adapted), adapted)
 
 
 def readout(nodes: Tensor, proj: Tensor, source_shape: tuple) -> Tensor:
@@ -288,7 +272,7 @@ class GraphBlock:
         if self.mode == "base":
             return {}
         vc = embed_nodes(f_c, *self.ctx_proj)
-        enhanced = reason(vc.nodes, build_adjacency(vc), self.ctx_gcn_w,
+        enhanced = reason(vc.nodes, build_adjacency(vc.nodes), self.ctx_gcn_w,
                           self.context_steps)
         fc_hat = residual_merge(
             f_c, readout(enhanced, vc.proj, vc.source_shape), self.alpha)
@@ -307,7 +291,7 @@ class GraphBlock:
                 f"stream shapes differ: {f_c.shape} vs {f_m.shape}")
         if self.mode == "base":
             vs = embed_nodes(add(f_c, f_m), *self.proj)
-            enhanced = reason(vs.nodes, build_adjacency(vs), self.gcn_w,
+            enhanced = reason(vs.nodes, build_adjacency(vs.nodes), self.gcn_w,
                               self.context_steps)
             fhat = readout(enhanced, vs.proj, vs.source_shape)
             return concat([add(f_c, fhat), add(f_m, fhat)], axis=0)
@@ -316,10 +300,10 @@ class GraphBlock:
             cache = self.context_stage(f_c)
         vm = embed_nodes(f_m, *self.mot_proj)
         if self.mode == "agr":
-            adj = graph_adapter(vm, cache["kernel"], self.adapter_w,
+            adj = graph_adapter(vm.nodes, cache["kernel"], self.adapter_w,
                                 self.adapter_b)
         else:
-            adj = build_adjacency(vm)
+            adj = build_adjacency(vm.nodes)
         enhanced = reason(vm.nodes, adj, self.mot_gcn_w, self.motion_steps)
         fm_hat = residual_merge(
             f_m, readout(enhanced, vm.proj, vm.source_shape), self.beta)

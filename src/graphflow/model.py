@@ -22,9 +22,9 @@ from .data import FlowField
 from .errors import ConfigError, ContractError, DimensionError
 from .graph import GraphBlock
 from .layers import Conv2d
-from .tensor import (Tensor, absolute, add, avg_pool2x2, bilinear_sample,
-                     concat, matmul, mul, no_grad, relu, reshape, scale,
-                     sigmoid, tanh, transpose, tsum, window_sample)
+from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, matmul, mul,
+                     no_grad, relu, reshape, scale, sigmoid, tanh, transpose,
+                     tsum, window_sample)
 
 PYRAMID_LEVELS = 4
 
@@ -185,38 +185,52 @@ def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
     return concat(out, axis=0)
 
 
+def _interp_matrix(n: int, d: int) -> np.ndarray:
+    """(n*d, n) linear interpolation weights, two per row.
+
+    Output o reads position clip((o + 0.5)/d - 0.5, 0, n - 1), so the
+    border rows copy the edge value instead of blending in zeros.
+    """
+    pos = np.clip((np.arange(n * d) + 0.5) / d - 0.5, 0.0, n - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    frac = pos - i0
+    rows = np.arange(n * d)
+    r = np.zeros((n * d, n))
+    r[rows, i0] = 1.0 - frac
+    r[rows, np.minimum(i0 + 1, n - 1)] += frac
+    return r
+
+
 def upsample_flow(flow: Tensor, d: int) -> Tensor:
     """Bilinear upsample by d with displacement values scaled by d.
 
-    Sample positions are clamped to the border, so constant fields stay
-    exactly constant.
+    Bilinear resampling is separable: each channel becomes
+    R_h F (d R_w)^T, two matrix products with fixed interpolation
+    matrices. Sample positions are clamped to the border, so a
+    constant field stays constant.
     """
     if flow.data.ndim != 3 or flow.shape[0] != 2:
         raise DimensionError(f"flow must be (2,h,w), got {flow.shape}")
     _, h, w = flow.shape
     dtype = flow.dtype
-    oy, ox = np.meshgrid(np.arange(h * d, dtype=dtype),
-                         np.arange(w * d, dtype=dtype), indexing="ij")
-    sy = np.clip((oy + 0.5) / d - 0.5, 0.0, h - 1.0)
-    sx = np.clip((ox + 0.5) / d - 0.5, 0.0, w - 1.0)
-    coords = Tensor(np.stack([sx, sy]), dtype=dtype)
-    return scale(bilinear_sample(flow, coords), float(d))
+    rows = Tensor(np.kron(np.eye(2), _interp_matrix(h, d)), dtype=dtype)
+    cols = Tensor(d * _interp_matrix(w, d).T, dtype=dtype)
+    up = matmul(rows, matmul(reshape(flow, (2 * h, w)), cols))
+    return reshape(up, (2, h * d, w * d))
 
 
 # -- loss --------------------------------------------------------------------
 
 
-def sequence_loss(preds, gt: FlowField, gamma: float = 0.8) -> Tensor:
+def sequence_loss(preds: list[Tensor], gt: FlowField,
+                  gamma: float = 0.8) -> Tensor:
     """Exponentially weighted L1 over the prediction sequence.
 
     Sum_i gamma^(T-1-i) * mean over valid pixels of |du| + |dv|; later
     iterations weigh more.
     """
-    preds = [p.flow if isinstance(p, FlowField) else p for p in preds]
     if not preds:
         raise ContractError("sequence_loss needs at least one prediction")
-    if not isinstance(gt, FlowField):
-        gt = FlowField(flow=np.asarray(gt))
     garr = gt.array
     valid = gt.valid_mask()
     n_valid = int(valid.sum())

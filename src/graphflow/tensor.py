@@ -670,70 +670,6 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 # -- sampling ----------------------------------------------------------------
 
 
-def _corner_gather(data, yi, xi, h, w):
-    """Gather with zero padding; returns (values, validity mask)."""
-    valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-    yc = np.clip(yi, 0, h - 1)
-    xc = np.clip(xi, 0, w - 1)
-    return data[..., yc, xc] * valid, valid
-
-
-def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
-    """Sample (C, H, W) at real-valued positions, zero outside the map.
-
-    ``coords`` is (2, Ho, Wo) with coords[0] the horizontal (x) position
-    and coords[1] the vertical (y) position. Differentiable in both the
-    map and the coordinates.
-    """
-    x, coords = _as_tensor(x), _as_tensor(coords)
-    _check_same_dtype(x, coords)
-    if x.data.ndim != 3:
-        raise DimensionError(f"bilinear_sample input must be (C,H,W), got {x.shape}")
-    if coords.data.ndim != 3 or coords.shape[0] != 2:
-        raise DimensionError(
-            f"coords must be (2,Ho,Wo), got {coords.shape}"
-        )
-    c, h, w = x.shape
-    cx, cy = coords.data[0], coords.data[1]
-    x0 = np.floor(cx).astype(np.int64)
-    y0 = np.floor(cy).astype(np.int64)
-    fx, fy = cx - x0, cy - y0
-    corners = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            val, msk = _corner_gather(x.data, y0 + dy, x0 + dx, h, w)
-            corners.append((wgt, val, msk))
-    out_data = corners[0][1] * corners[0][0]
-    for wgt, val, _ in corners[1:]:
-        out_data = out_data + val * wgt
-    out_data = out_data.astype(x.data.dtype, copy=False)
-
-    def backward(g):
-        if x.requires_grad:
-            idx_parts, wgt_parts = [], []
-            for (wgt, _, msk), (dy, dx) in zip(corners, ((0, 0), (0, 1), (1, 0), (1, 1))):
-                yc = np.clip(y0 + dy, 0, h - 1)
-                xc = np.clip(x0 + dx, 0, w - 1)
-                lin = (yc * w + xc).ravel()
-                contrib = (g * wgt * msk).reshape(c, -1)
-                idx_parts.append(np.broadcast_to(lin, (c, lin.size))
-                                 + (np.arange(c) * h * w)[:, None])
-                wgt_parts.append(contrib)
-            flat_idx = np.concatenate([p.ravel() for p in idx_parts])
-            flat_val = np.concatenate([p.ravel() for p in wgt_parts])
-            acc = np.bincount(flat_idx, weights=flat_val, minlength=c * h * w)
-            x._accum(acc.reshape(c, h, w).astype(x.data.dtype, copy=False))
-        if coords.requires_grad:
-            (_, v00, _), (_, v01, _), (_, v10, _), (_, v11, _) = corners
-            dout_dx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
-            dout_dy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-            gc = np.stack([(g * dout_dx).sum(axis=0), (g * dout_dy).sum(axis=0)])
-            coords._accum(gc.astype(coords.data.dtype, copy=False))
-
-    return Tensor._from_op(out_data, (x, coords), backward)
-
-
 def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
     """Bilinear windows around per-slice centres: (N,H,W), (2,N) -> (S,N).
 

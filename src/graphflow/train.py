@@ -52,12 +52,17 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
 
     Pairs are visited round-robin by step index, and no randomness is
     drawn inside the loop, so a run restarted from its own checkpoint
-    continues bit-for-bit where it stopped. Emits ``train.tsv`` plus
+    continues bit-for-bit where it stopped. Checkpoints hold float32
+    only, so a 64-bit run cannot be resumed. Emits ``train.tsv`` plus
     periodic and final checkpoints under ``cfg.out``.
     """
     cfg.validate()
     if not cfg.data:
         raise ConfigError("training needs data=<manifest path>")
+    if cfg.resume and cfg.precision == 64:
+        raise ConfigError("resume needs precision = 32: checkpoints store "
+                          "float32, so a 64-bit run would not continue "
+                          "bit for bit")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = load_pairs(cfg.data)

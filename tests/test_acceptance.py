@@ -96,14 +96,14 @@ def test_criterion_03_graph_invariants_hold_over_100_seeds():
             vc = block.embed_context(f_c)
             rows = vc.proj.data.sum(axis=1)
             worst_row = max(worst_row, float(np.abs(rows - 1.0).max()))
-            adj = build_adjacency(vc).matrix.data
+            adj = build_adjacency(vc.nodes).data
             assert np.array_equal(adj, adj.T), f"seed {seed}: asymmetric graph"
             cache = block.context_stage(f_c)
             krows = cache["kernel"].data.sum(axis=1)
             worst_row = max(worst_row, float(np.abs(krows - 1.0).max()))
             vm = block.embed_motion(f_m)
-            adapted = graph_adapter(vm, cache["kernel"], block.adapter_w,
-                                    block.adapter_b).matrix.data
+            adapted = graph_adapter(vm.nodes, cache["kernel"], block.adapter_w,
+                                    block.adapter_b).data
             worst_eig = min(worst_eig,
                             float(np.linalg.eigvalsh(adapted).min()))
     assert worst_row <= PROJ_ROW_TOL, f"row sums drift by {worst_row:.2e}"
@@ -248,7 +248,7 @@ def test_criterion_07_node_count_sweep():
                 vc = block.embed_context(f_c)
                 assert np.abs(vc.proj.data.sum(axis=1) - 1.0).max() \
                     <= PROJ_ROW_TOL
-                plain = build_adjacency(vc).matrix.data
+                plain = build_adjacency(vc.nodes).data
                 assert np.array_equal(plain, plain.T)
                 cache = block.context_stage(f_c)
                 krows = cache["kernel"].data.sum(axis=1)
@@ -256,8 +256,8 @@ def test_criterion_07_node_count_sweep():
                 vm = block.embed_motion(f_m)
                 assert np.abs(vm.proj.data.sum(axis=1) - 1.0).max() \
                     <= PROJ_ROW_TOL
-                adapted = graph_adapter(vm, cache["kernel"], block.adapter_w,
-                                        block.adapter_b).matrix.data
+                adapted = graph_adapter(vm.nodes, cache["kernel"],
+                                        block.adapter_w, block.adapter_b).data
                 eig_min = float(np.linalg.eigvalsh(adapted).min())
                 assert eig_min >= PSD_FLOOR, f"K={k} seed {seed}: {eig_min:.2e}"
                 out = block.forward(f_c, f_m, cache)

@@ -6,7 +6,7 @@ import pytest
 import graphflow.tensor as tt
 from graphflow.config import ModelConfig
 from graphflow.counting import (conv_flops, conv_params, count_flops,
-                                count_params, graph_param_delta, matmul_flops)
+                                count_params, matmul_flops)
 from graphflow.graph import GraphBlock, adapter_param_count, \
     analytic_param_count
 from graphflow.model import FlowModel
@@ -55,12 +55,6 @@ class TestParamAccounting:
             analytic_param_count(128, 128, "base")
         assert delta == 74338
         assert 50_000 <= delta <= 300_000
-
-    def test_delta_helper_lists_every_mode(self):
-        cfg = ModelConfig(context_channels=8, nodes=4)
-        delta = graph_param_delta(cfg)
-        assert set(delta) == {"base", "sgr", "agr"}
-        assert delta["base"] < delta["sgr"] < delta["agr"]
 
     def test_count_is_monotone_in_node_count(self):
         for mode in ("base", "sgr", "agr"):

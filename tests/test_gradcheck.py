@@ -1,8 +1,12 @@
 """Finite-difference harness: verify it against hand-computable gradients."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import graphflow.tensor as tt
+from graphflow.checks import _op_cases
 from graphflow.errors import ContractError
 from graphflow.gradcheck import GradReport, gradcheck, rel_err
 from graphflow.tensor import Tensor, conv2d, matmul, mul, relu, softmax, tsum
@@ -75,3 +79,19 @@ class TestHarness:
         assert rel_err(0.0, 0.0) == 0.0
         assert rel_err(1e-9, 0.0) == 1e-9
         assert rel_err(200.0, 100.0) == 0.5
+
+
+class TestAuditCoverage:
+    def test_every_public_op_has_exactly_one_audit_row(self):
+        """Adding or removing an op without its gradient-audit case fails
+        here at once, not inside the full audit run."""
+        not_ops = {"set_default_dtype", "get_default_dtype", "precision",
+                   "no_grad"}
+        renamed = {"tsum": "sum", "tmean": "mean"}
+        public = {renamed.get(name, name)
+                  for name, fn in inspect.getmembers(tt, inspect.isfunction)
+                  if fn.__module__ == tt.__name__
+                  and not name.startswith("_") and name not in not_ops}
+        names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
+        assert len(names) == len(set(names))
+        assert set(names) == public

@@ -6,7 +6,7 @@ import pytest
 import graphflow.tensor as tt
 from graphflow.errors import ConfigError, ContractError, DimensionError
 from graphflow.gradcheck import gradcheck
-from graphflow.graph import (Adjacency, GraphBlock, NodeSet, adapter_param_count,
+from graphflow.graph import (GraphBlock, NodeSet, adapter_param_count,
                              analytic_param_count, attentive_fuse,
                              build_adjacency, embed_nodes, gcn_step,
                              graph_adapter, predict_adapter_kernel, readout,
@@ -69,25 +69,24 @@ class TestAdjacency:
         rng = np.random.default_rng(4)
         v = tt.l2_normalize(t64(rng.normal(size=(6, 5))), axis=0)
         a = build_adjacency(v)
-        assert a.kind == "plain"
-        assert np.array_equal(a.matrix.data, a.matrix.data.T)
+        assert np.array_equal(a.data, a.data.T)
 
     def test_diagonal_is_one_for_unit_nodes(self, f64):
         rng = np.random.default_rng(5)
         v = tt.l2_normalize(t64(rng.normal(size=(6, 5))), axis=0)
-        a = build_adjacency(v).matrix.data
+        a = build_adjacency(v).data
         assert np.allclose(np.diag(a), 1.0, atol=1e-12)
         assert np.all(a <= 1.0 + 1e-12) and np.all(a >= -1.0 - 1e-12)
 
     def test_zero_node_column_gives_zero_diagonal(self, f64):
         v = t64(np.zeros((6, 3)))
-        a = build_adjacency(v).matrix.data
+        a = build_adjacency(v).data
         assert np.array_equal(a, np.zeros((3, 3)))
 
     def test_matches_loop_oracle(self, f64):
         rng = np.random.default_rng(6)
         v = rng.normal(size=(5, 4))
-        a = build_adjacency(t64(v)).matrix.data
+        a = build_adjacency(t64(v)).data
         assert np.allclose(a, naive_adjacency(v), atol=1e-12)
 
 
@@ -146,8 +145,7 @@ class TestAdapter:
         v = t64(rng.normal(size=(6, 4)))
         kern = predict_adapter_kernel(v, blk.theta_w, blk.theta_b)
         adj = graph_adapter(v, kern, blk.adapter_w, blk.adapter_b)
-        assert adj.kind == "adapted"
-        m = adj.matrix.data
+        m = adj.data
         assert np.array_equal(m, m.T)
         assert np.linalg.eigvalsh(m).min() >= -1e-6
 

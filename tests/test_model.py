@@ -253,14 +253,17 @@ class TestFlowHeadAndUpsample:
         flow = t64(np.stack([np.full((4, 4), 1.0), np.full((4, 4), 2.0)]))
         up = upsample_flow(flow, 4)
         assert up.shape == (2, 16, 16)
-        assert np.allclose(up.data[0], 4.0, atol=1e-12)
-        assert np.allclose(up.data[1], 8.0, atol=1e-12)
+        assert np.array_equal(up.data[0], np.full((16, 16), 4.0))
+        assert np.array_equal(up.data[1], np.full((16, 16), 8.0))
 
-    def test_matches_naive_bilinear_oracle(self, f64):
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("h,w", [(1, 4), (4, 1), (3, 5)])
+    def test_matches_naive_bilinear_oracle(self, f64, h, w, d):
         rng = np.random.default_rng(15)
-        flow = rng.normal(size=(2, 3, 5))
-        up = upsample_flow(t64(flow), 4)
-        assert np.allclose(up.data, naive_upsample(flow, 4), atol=1e-12)
+        flow = rng.normal(size=(2, h, w))
+        up = upsample_flow(t64(flow), d)
+        assert up.shape == (2, h * d, w * d)
+        assert np.allclose(up.data, naive_upsample(flow, d), atol=1e-12)
 
 
 class TestForward:

@@ -5,11 +5,10 @@ import pytest
 
 from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
-from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2,
-                              bilinear_sample, concat, conv2d, expand,
-                              l2_normalize, matmul, mul, relu, reshape, scale,
-                              sigmoid, softmax, tanh, tmean, transpose, tsum,
-                              window_sample)
+from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2, concat,
+                              conv2d, expand, l2_normalize, matmul, mul, relu,
+                              reshape, scale, sigmoid, softmax, tanh, tmean,
+                              transpose, tsum, window_sample)
 from graphflow.gradcheck import gradcheck
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
@@ -309,50 +308,6 @@ class TestAvgPool:
         rng = np.random.default_rng(19)
         x = p64(rng.normal(size=(2, 5, 5)))
         rep = gradcheck(lambda: tsum(mul(avg_pool2x2(x), avg_pool2x2(x))), {"x": x})
-        assert rep.max_rel_err < 1e-6
-
-
-class TestBilinearSample:
-    def test_cell_center_averages_four_corners(self):
-        img = c64(np.asarray([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2))
-        coords = c64(np.asarray([0.5, 0.5]).reshape(2, 1, 1))
-        assert bilinear_sample(img, coords).data[0, 0, 0] == 2.5
-
-    def test_integer_coordinates_read_exact_pixels(self):
-        rng = np.random.default_rng(20)
-        img = rng.normal(size=(3, 4, 5))
-        ys, xs = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
-        coords = np.stack([xs, ys])
-        out = bilinear_sample(c64(img), c64(coords))
-        assert np.array_equal(out.data, img)
-
-    def test_positions_outside_the_map_read_zero(self):
-        img = c64(np.ones((1, 2, 2)))
-        coords = c64(np.asarray([[-1.0, 5.0], [-1.0, 5.0]]).reshape(2, 2, 1))
-        assert np.array_equal(bilinear_sample(img, coords).data,
-                              np.zeros((1, 2, 1)))
-
-    def test_matches_scalar_oracle_at_fractional_positions(self):
-        rng = np.random.default_rng(21)
-        img = rng.normal(size=(2, 6, 7))
-        cx = rng.uniform(-1.5, 7.5, size=(3, 4))
-        cy = rng.uniform(-1.5, 6.5, size=(3, 4))
-        out = bilinear_sample(c64(img), c64(np.stack([cx, cy]))).data
-        for i in range(3):
-            for j in range(4):
-                assert np.allclose(out[:, i, j],
-                                   naive_bilinear(img, cx[i, j], cy[i, j]),
-                                   atol=1e-14)
-
-    def test_finite_difference_agreement_in_map_and_coords(self):
-        rng = np.random.default_rng(22)
-        img = p64(rng.normal(size=(2, 5, 5)))
-        # keep fractional parts away from integer kinks
-        coords = p64(rng.uniform(0.55, 3.45, size=(2, 3, 3)))
-        rep = gradcheck(
-            lambda: tsum(mul(bilinear_sample(img, coords),
-                             bilinear_sample(img, coords))),
-            {"img": img, "coords": coords})
         assert rep.max_rel_err < 1e-6
 
 

@@ -59,6 +59,18 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="already"):
             run_training(again)
 
+    def test_resuming_a_64_bit_run_is_rejected(self, tmp_path, manifest):
+        """Checkpoints hold float32, so a 64-bit resume could not match an
+        uninterrupted run bit for bit."""
+        run_training(tiny_cfg(manifest, tmp_path / "run", precision=64,
+                              checkpoint_interval=2))
+        again = tiny_cfg(manifest, tmp_path / "run2", precision=64,
+                         checkpoint_interval=2,
+                         resume=str(tmp_path / "run" / "step_000002.agfw"))
+        with pytest.raises(ConfigError, match="precision"):
+            run_training(again)
+        assert not (tmp_path / "run2").exists()
+
     def test_first_loss_is_finite_and_positive(self, tmp_path, manifest):
         result = run_training(tiny_cfg(manifest, tmp_path / "run"))
         assert np.isfinite(result.first_loss) and result.first_loss > 0
