@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, train, eval, gradcheck, bench, viz. Numeric work is
-single-threaded by default; --threads raises the BLAS thread cap and
-must take effect before numpy loads, so the heavyweight imports run
-inside main() after the flag is read.
+single-threaded by default; the config's ``threads`` key, or --threads
+over it, raises the BLAS thread cap. The cap must take effect before
+numpy loads, so the heavyweight imports run inside main() after the
+config is built.
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 unreadable
 or malformed data (files, checkpoints, shape mismatches), 4 numeric
@@ -24,19 +25,11 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _pin_threads(argv: list[str]) -> None:
-    """Export the BLAS thread cap before numpy gets imported."""
-    count = "1"
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            count = argv[i + 1]
-        elif arg.startswith("--threads="):
-            count = arg.split("=", 1)[1]
-    if not count.isdigit():
-        return   # argparse will reject it with a proper message
+def _pin_threads(count: int) -> None:
+    """Export the BLAS thread cap; it must precede the numpy import."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, count)
+        os.environ.setdefault(var, str(count))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key = value run configuration")
     shared.add_argument("--seed", type=int, help="override the seed")
     shared.add_argument("--out", metavar="DIR", help="output directory")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="BLAS thread cap (default 1, deterministic)")
+    shared.add_argument("--threads", type=int,
+                        help="BLAS thread cap (default: the config's "
+                             "threads, which is 1)")
     shared.add_argument("--graph", choices=("base", "sgr", "agr"),
                         help="reasoning variant toggle")
     shared.add_argument("--precision", type=int, choices=(32, 64),
@@ -105,7 +99,8 @@ def _effective_config(args):
         cfg.graph = args.graph
     if args.precision is not None:
         cfg.precision = args.precision
-    cfg.threads = args.threads
+    if args.threads is not None:
+        cfg.threads = args.threads
     if getattr(args, "data", None):
         cfg.data = args.data
     cfg.validate()
@@ -220,7 +215,7 @@ def _cmd_bench(args, cfg) -> int:
 def _cmd_viz(args, cfg) -> int:
     from .data import flow_to_color, read_flo, write_ppm
     field = read_flo(args.flo)
-    image = flow_to_color(field, cap=args.cap)
+    image = flow_to_color(field.flow, cap=args.cap)
     if args.dest:
         dest = Path(args.dest)
     else:
@@ -243,14 +238,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
     args = _build_parser().parse_args(argv)
 
     from .errors import (ConfigError, ContractError, DimensionError,
                          FormatError, NumericError)
     try:
         cfg = _effective_config(args)
+        _pin_threads(cfg.threads)
+        import numpy  # noqa: F401  (first load, under the cap)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

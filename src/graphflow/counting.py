@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .config import ModelConfig
 from .errors import DimensionError
+from .graph import CA_REDUCTION
 from .model import PYRAMID_LEVELS, FlowModel
 
 COMPONENTS = ("feature_encoder", "context_encoder", "motion_encoder",
@@ -22,10 +23,6 @@ _PREFIX_TO_COMPONENT = {
     "gru": "update",
     "head": "flow_head",
 }
-
-
-def conv_params(cin: int, cout: int, k: int, bias: bool = True) -> int:
-    return cout * cin * k * k + (cout if bias else 0)
 
 
 def conv_flops(cin: int, cout: int, k: int, ho: int, wo: int) -> int:
@@ -72,7 +69,7 @@ def _graph_flops(cfg: ModelConfig, n: int) -> int:
     readout_cost = matmul_flops(c, k, n)
     if cfg.graph == "base":
         return embed + adjacency + cfg.context_iters * gcn + readout_cost
-    mid_r = max(c // 4, 1)   # channel-attention reduction used by GraphBlock
+    mid_r = max(c // CA_REDUCTION, 1)
     ca = conv_flops(c, mid_r, 1, 1, 1) + conv_flops(mid_r, c, 1, 1, 1)
     motion_side = embed + cfg.motion_iters * gcn + readout_cost + ca
     if cfg.graph == "sgr":

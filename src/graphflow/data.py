@@ -43,8 +43,7 @@ class FlowField:
 
     @property
     def array(self) -> np.ndarray:
-        data = getattr(self.flow, "data", self.flow)
-        return np.asarray(data)
+        return self.flow
 
     def valid_mask(self) -> np.ndarray:
         if self.valid is None:
@@ -306,16 +305,15 @@ def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def flow_to_color(flow: FlowField | np.ndarray, cap: float | None = None) -> np.ndarray:
+def flow_to_color(flow: np.ndarray, cap: float | None = None) -> np.ndarray:
     """Direction as hue, magnitude as saturation; zero flow is white.
 
     Magnitude is normalized by ``cap`` when given, otherwise by the
     field's own maximum. Returns uint8 (3, H, W).
     """
-    arr = flow.array if isinstance(flow, FlowField) else np.asarray(flow)
-    if arr.ndim != 3 or arr.shape[0] != 2:
-        raise DimensionError(f"flow must be (2,H,W), got {arr.shape}")
-    u, v = arr[0].astype(np.float64), arr[1].astype(np.float64)
+    if flow.ndim != 3 or flow.shape[0] != 2:
+        raise DimensionError(f"flow must be (2,H,W), got {flow.shape}")
+    u, v = flow[0].astype(np.float64), flow[1].astype(np.float64)
     mag = np.sqrt(u * u + v * v)
     scale = float(cap) if cap is not None else float(mag.max())
     if scale <= 0:
@@ -330,30 +328,26 @@ def flow_to_color(flow: FlowField | np.ndarray, cap: float | None = None) -> np.
 # -- metrics -----------------------------------------------------------------
 
 
-def _metric_inputs(pred, gt):
-    parr = pred.array if isinstance(pred, FlowField) else np.asarray(
-        getattr(pred, "data", pred))
-    if not isinstance(gt, FlowField):
-        gt = FlowField(flow=np.asarray(gt))
+def _metric_inputs(pred: np.ndarray, gt: FlowField):
     garr = gt.array
-    if parr.shape != garr.shape:
+    if pred.shape != garr.shape:
         raise DimensionError(
-            f"prediction {parr.shape} does not match ground truth {garr.shape}")
+            f"prediction {pred.shape} does not match ground truth {garr.shape}")
     valid = gt.valid_mask()
     if not valid.any():
         raise ContractError("no valid pixels to evaluate")
-    err = np.sqrt(((parr.astype(np.float64) - garr.astype(np.float64)) ** 2)
+    err = np.sqrt(((pred.astype(np.float64) - garr.astype(np.float64)) ** 2)
                   .sum(axis=0))
     return err, valid
 
 
-def epe(pred, gt) -> float:
+def epe(pred: np.ndarray, gt: FlowField) -> float:
     """Mean Euclidean end-point error over the valid pixels."""
     err, valid = _metric_inputs(pred, gt)
     return float(err[valid].sum() / valid.sum())
 
 
-def f1_all(pred, gt, tau: float = 3.0) -> float:
+def f1_all(pred: np.ndarray, gt: FlowField, tau: float = 3.0) -> float:
     """Percentage of valid pixels whose end-point error exceeds ``tau``
     pixels (the single-threshold definition)."""
     err, valid = _metric_inputs(pred, gt)
@@ -402,28 +396,16 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 @dataclass
-class DatasetSpec:
+class DatasetSpec(SyntheticSpec):
     """One rendered dataset: a sample family plus how many pairs to draw."""
 
-    height: int = 64
-    width: int = 64
-    texture: str = "smoothed-noise"
-    motion: str = "affine"
-    mag_min: float = 0.5
     mag_max: float = 2.0
-    seed: int = 0
     pairs: int = 8
-
-    def sample_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(height=self.height, width=self.width,
-                             texture=self.texture, motion=self.motion,
-                             mag_min=self.mag_min, mag_max=self.mag_max,
-                             seed=self.seed)
 
     def validate(self) -> None:
         if self.pairs < 1:
             raise ContractError(f"pairs must be positive, got {self.pairs}")
-        self.sample_spec().validate()
+        super().validate()
 
 
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> Path:
@@ -435,10 +417,9 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> Path:
     spec.validate()
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    sample = spec.sample_spec()
     rows = []
     for index in range(spec.pairs):
-        i1, i2, gt = gen_pair(sample, index=index)
+        i1, i2, gt = gen_pair(spec, index=index)
         pid = f"pair_{index:04d}"
         names = (f"{pid}_1.ppm", f"{pid}_2.ppm", f"{pid}.flo")
         write_ppm(root / names[0], i1)

@@ -27,10 +27,11 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import Conv2d, linear_pair
-from .tensor import (Tensor, add, concat, expand, l2_normalize, matmul, mul,
-                     relu, reshape, sigmoid, softmax, tmean, transpose)
+from .tensor import (Tensor, add, concat, l2_normalize, matmul, mul, relu,
+                     reshape, sigmoid, softmax, tmean, transpose)
 
 MODES = ("base", "sgr", "agr")
+CA_REDUCTION = 4        # channel-attention bottleneck: C -> C // 4 -> C
 
 
 @dataclass
@@ -95,8 +96,7 @@ def predict_adapter_kernel(ctx_nodes: Tensor, theta_w: Tensor,
     c, k = ctx_nodes.shape
     if theta_w.shape != (k, c):
         raise DimensionError(f"kernel head {theta_w.shape} must be ({k},{c})")
-    logits = add(matmul(theta_w, ctx_nodes),
-                 expand(reshape(theta_b, (k, 1)), (k, k)))
+    logits = add(matmul(theta_w, ctx_nodes), reshape(theta_b, (k, 1)))
     return softmax(logits, axis=1)
 
 
@@ -112,7 +112,7 @@ def graph_adapter(v: Tensor, kernel: Tensor, w1: Tensor, b1: Tensor) -> Tensor:
     c, k = v.shape
     if kernel.shape != (k, k):
         raise DimensionError(f"kernel {kernel.shape} must be ({k},{k})")
-    hidden = relu(add(matmul(w1, v), expand(reshape(b1, (c, 1)), (c, k))))
+    hidden = relu(add(matmul(w1, v), reshape(b1, (c, 1))))
     adapted = matmul(hidden, kernel)                   # (C, K)
     return matmul(transpose(adapted), adapted)
 
@@ -146,15 +146,13 @@ def attentive_fuse(fc: Tensor, fm: Tensor, ca_fc1: Conv2d, ca_fc2: Conv2d) -> Te
     """
     if fc.shape != fm.shape:
         raise DimensionError(f"fusion inputs differ: {fc.shape} vs {fm.shape}")
-    c, h, w = fm.shape
     gap = tmean(fm, axis=(1, 2), keepdims=True)        # (C, 1, 1)
     gate = sigmoid(ca_fc2(relu(ca_fc1(gap))))          # (C, 1, 1)
-    scaled = mul(expand(add(gate, 1.0), (c, h, w)), fc)
+    scaled = mul(add(gate, 1.0), fc)
     return concat([scaled, fm], axis=0)
 
 
-def analytic_param_count(channels: int, node_count: int, mode: str,
-                         reduction: int = 4) -> int:
+def analytic_param_count(channels: int, node_count: int, mode: str) -> int:
     """Closed-form parameter count of a GraphBlock; kept in lockstep
     with the registry by a test."""
     c, k = channels, node_count
@@ -162,7 +160,7 @@ def analytic_param_count(channels: int, node_count: int, mode: str,
     proj = (mid * c + mid) + (k * mid + k)
     if mode == "base":
         return proj + c * c
-    mid_r = max(c // reduction, 1)
+    mid_r = max(c // CA_REDUCTION, 1)
     ca = (mid_r * c + mid_r) + (c * mid_r + c)
     sgr = 2 * proj + 2 * c * c + 2 + ca
     if mode == "sgr":
@@ -187,7 +185,7 @@ class GraphBlock:
     """
 
     def __init__(self, channels: int, node_count: int, *, context_steps: int = 2,
-                 motion_steps: int = 1, mode: str = "agr", reduction: int = 4,
+                 motion_steps: int = 1, mode: str = "agr",
                  rng: np.random.Generator | None = None):
         if mode not in MODES:
             raise ConfigError(f"graph mode must be one of {MODES}, got {mode!r}")
@@ -202,7 +200,6 @@ class GraphBlock:
         self.context_steps = context_steps
         self.motion_steps = motion_steps
         self.mode = mode
-        self.reduction = reduction
         self.params: dict[str, Tensor] = {}
         mid = max(channels // 2, 1)
 
@@ -233,7 +230,7 @@ class GraphBlock:
         self.beta = Tensor(np.zeros(()), requires_grad=True)
         self.params["graph.alpha"] = self.alpha
         self.params["graph.beta"] = self.beta
-        mid_r = max(channels // reduction, 1)
+        mid_r = max(channels // CA_REDUCTION, 1)
         self.ca_fc1 = Conv2d(rng, channels, mid_r, 1)
         self.ca_fc2 = Conv2d(rng, mid_r, channels, 1, gain="linear")
         self.ca_fc1.register(self.params, "graph.ca.fc1")

@@ -283,10 +283,7 @@ class FlowModel:
     # -- plumbing ------------------------------------------------------------
 
     def _prep_image(self, img, name) -> Tensor:
-        if isinstance(img, Tensor):
-            arr = img.data
-        else:
-            arr = np.asarray(img)
+        arr = np.asarray(img)
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise DimensionError(f"{name} must be (3,H,W), got {arr.shape}")
         d = self.cfg.downsample

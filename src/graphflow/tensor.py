@@ -7,15 +7,14 @@ it. The engine is deliberately small: only the operations the flow
 model needs exist, and each one validates its shapes eagerly so errors
 surface at the call site rather than deep inside a backward pass.
 
-Precision is a process-wide default (32 or 64 bit) plus a context
-manager for local overrides. Mixed-precision arithmetic is rejected:
+New tensors are float32 unless the ``precision`` context manager
+switches the width to 64 bit. Mixed-precision arithmetic is rejected:
 silently upcasting float32 parameters against float64 constants is a
 bug far more often than a feature.
 
-Broadcasting is restricted to leading unit extents (after ranks are
-aligned on the left). Anything fancier must go through ``expand``,
-which makes the replication explicit and keeps every backward rule a
-plain sum over known axes.
+``add`` and ``mul`` broadcast by numpy's rule: ranks are aligned on the
+right and any unit extent stretches to match. The backward pass sums
+the gradient over every stretched axis, leading or trailing.
 
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
@@ -34,18 +33,6 @@ from .errors import ContractError, DimensionError
 _DTYPES = {32: np.float32, 64: np.float64}
 _default_dtype = np.float32
 _grad_enabled = True
-
-
-def set_default_dtype(bits: int) -> None:
-    """Set the process-wide float width for newly created tensors."""
-    if bits not in _DTYPES:
-        raise ContractError(f"precision must be 32 or 64, got {bits}")
-    global _default_dtype
-    _default_dtype = _DTYPES[bits]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
 
 
 @contextlib.contextmanager
@@ -75,26 +62,11 @@ def no_grad():
 
 
 def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
-    """Common shape of two operands under the leading-unit rule."""
-    rank = max(len(sa), len(sb))
-    aa = (1,) * (rank - len(sa)) + sa
-    ab = (1,) * (rank - len(sb)) + sb
-    out = []
-    for da, db in zip(aa, ab):
-        if da == db or db == 1:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        else:
-            raise DimensionError(f"cannot broadcast shapes {sa} and {sb}")
-    out = tuple(out)
-    for aligned in (aa, ab):
-        bcast = [i for i in range(rank) if aligned[i] != out[i]]
-        if bcast != list(range(len(bcast))):
-            raise DimensionError(
-                f"broadcast is limited to leading unit extents: {sa} vs {sb}"
-            )
-    return out
+    """Common shape of two operands under numpy broadcasting."""
+    try:
+        return np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise DimensionError(f"cannot broadcast shapes {sa} and {sb}") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -166,9 +138,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``grad``.
 
@@ -203,55 +172,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    # -- operator sugar ------------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other.data.dtype != self.data.dtype:
-                raise ContractError(
-                    f"dtype mismatch: {self.data.dtype} vs {other.data.dtype}"
-                )
-            return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
-
-    def __add__(self, other):
-        return add(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(self._coerce(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(self._coerce(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -436,32 +356,6 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x._accum(np.transpose(g, inv))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def expand(x: Tensor, shape) -> Tensor:
-    """Explicitly replicate unit extents up to ``shape``.
-
-    The backward rule sums over every replicated axis, which is why
-    general broadcasting is funnelled through this op.
-    """
-    x = _as_tensor(x)
-    shape = tuple(shape)
-    if len(shape) < x.data.ndim:
-        raise DimensionError(f"expand target {shape} has lower rank than {x.shape}")
-    lead = len(shape) - x.data.ndim
-    aligned = (1,) * lead + x.shape
-    for i, (src, dst) in enumerate(zip(aligned, shape)):
-        if src != dst and src != 1:
-            raise DimensionError(f"cannot expand {x.shape} to {shape} (axis {i})")
-    out_data = np.broadcast_to(x.data.reshape(aligned), shape).copy()
-    axes = tuple(i for i in range(len(shape)) if aligned[i] == 1 and shape[i] != 1)
-
-    def backward(g):
-        if x.requires_grad:
-            gg = g.sum(axis=axes, keepdims=True) if axes else g
-            x._accum(gg.reshape(x.shape))
 
     return Tensor._from_op(out_data, (x,), backward)
 

@@ -115,7 +115,7 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
                 opt.step(lr=lr)
                 done = step + 1
                 if done % cfg.log_interval == 0 or done == cfg.steps:
-                    train_epe = epe(preds[-1], gt)
+                    train_epe = epe(preds[-1].data, gt)
                     rows.append((done, value, train_epe))
                     line = f"{done}\t{value:.6f}\t{train_epe:.4f}"
                     log.write(line + "\n")
@@ -157,8 +157,8 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
             log.write("pair\tepe\tf1_all\tpixels\n")
             for pair_id, frame1, frame2, gt in pairs:
                 pred = model.predict(frame2, frame1)
-                pair_epe = epe(pred, gt)
-                pair_f1 = f1_all(pred, gt)
+                pair_epe = epe(pred.flow, gt)
+                pair_f1 = f1_all(pred.flow, gt)
                 count = int(gt.valid_mask().sum())
                 per_image.append((pair_id, pair_epe, pair_f1, count))
                 epe_sum += pair_epe * count

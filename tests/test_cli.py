@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphflow.cli import main
+from graphflow.cli import _build_parser, _effective_config, main
 from graphflow.data import read_manifest, read_ppm
 
 
@@ -267,6 +267,14 @@ class TestConfigPlumbing:
         echo = (tmp_path / "run" / "config.txt").read_text()
         assert "graph = base" in echo
         assert "precision = 64" in echo
+
+    def test_config_threads_hold_unless_the_flag_is_given(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n")
+        base = ["eval", "--config", str(cfg), "weights.agfw"]
+        parse = _build_parser().parse_args
+        assert _effective_config(parse(base)).threads == 2
+        assert _effective_config(parse(base + ["--threads", "3"])).threads == 3
 
     def test_invalid_config_value_exits_with_usage_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

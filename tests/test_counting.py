@@ -5,10 +5,11 @@ import pytest
 
 import graphflow.tensor as tt
 from graphflow.config import ModelConfig
-from graphflow.counting import (conv_flops, conv_params, count_flops,
-                                count_params, matmul_flops)
+from graphflow.counting import (conv_flops, count_flops, count_params,
+                                matmul_flops)
 from graphflow.graph import GraphBlock, adapter_param_count, \
     analytic_param_count
+from graphflow.layers import Conv2d
 from graphflow.model import FlowModel
 
 
@@ -21,8 +22,11 @@ def f64():
 class TestClosedForms:
     def test_small_conv_parameter_count(self):
         # 3x3 kernel, 2 in, 4 out: 4*(2*9) weights + 4 biases
-        assert conv_params(2, 4, 3) == 76
-        assert conv_params(2, 4, 3, bias=False) == 72
+        rng = np.random.default_rng(0)
+        for bias, count in ((True, 76), (False, 72)):
+            params = {}
+            Conv2d(rng, 2, 4, 3, bias=bias).register(params, "conv")
+            assert sum(p.data.size for p in params.values()) == count
 
     def test_small_conv_flop_count(self):
         # same conv on an 8x8 map with padding 1: two flops per mac

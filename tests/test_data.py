@@ -210,21 +210,21 @@ class TestMetrics:
         gt = np.zeros((2, 2, 2), dtype=np.float32)
         pred[0] += 3.0
         pred[1] += 4.0
-        assert epe(FlowField(flow=pred), FlowField(flow=gt)) == 5.0
-        assert f1_all(FlowField(flow=pred), FlowField(flow=gt)) == 100.0
+        assert epe(pred, FlowField(flow=gt)) == 5.0
+        assert f1_all(pred, FlowField(flow=gt)) == 100.0
 
     def test_half_the_pixels_off_by_four(self):
         pred = np.zeros((2, 2, 2), dtype=np.float32)
         pred[0, :, 1] = 4.0
         gt = FlowField(flow=np.zeros((2, 2, 2), dtype=np.float32))
-        assert epe(FlowField(flow=pred), gt) == 2.0
-        assert f1_all(FlowField(flow=pred), gt) == 50.0
+        assert epe(pred, gt) == 2.0
+        assert f1_all(pred, gt) == 50.0
 
     def test_threshold_is_strictly_greater_than_tau(self):
         pred = np.zeros((2, 1, 1), dtype=np.float32)
         pred[0] = 3.0
         gt = FlowField(flow=np.zeros((2, 1, 1), dtype=np.float32))
-        assert f1_all(FlowField(flow=pred), gt) == 0.0
+        assert f1_all(pred, gt) == 0.0
 
     def test_invalid_pixels_do_not_count(self):
         pred = np.zeros((2, 2, 2), dtype=np.float32)
@@ -232,8 +232,8 @@ class TestMetrics:
         valid = np.ones((2, 2), dtype=bool)
         valid[0, 0] = False
         gt = FlowField(flow=np.zeros((2, 2, 2), dtype=np.float32), valid=valid)
-        assert epe(FlowField(flow=pred), gt) == 0.0
-        assert f1_all(FlowField(flow=pred), gt) == 0.0
+        assert epe(pred, gt) == 0.0
+        assert f1_all(pred, gt) == 0.0
 
     def test_matches_loop_oracle_on_random_fields(self):
         rng = np.random.default_rng(3)
@@ -241,13 +241,13 @@ class TestMetrics:
         gt_arr = rng.normal(size=(2, 6, 7)).astype(np.float32)
         valid = rng.uniform(size=(6, 7)) > 0.2
         gt = FlowField(flow=gt_arr, valid=valid)
-        assert np.isclose(epe(FlowField(flow=pred), gt),
+        assert np.isclose(epe(pred, gt),
                           naive_epe(pred, gt_arr, valid), atol=1e-6)
-        assert np.isclose(f1_all(FlowField(flow=pred), gt),
+        assert np.isclose(f1_all(pred, gt),
                           naive_f1_all(pred, gt_arr, valid), atol=1e-6)
 
     def test_shape_mismatch_and_empty_mask_are_rejected(self):
-        a = FlowField(flow=np.zeros((2, 2, 2), dtype=np.float32))
+        a = np.zeros((2, 2, 2), dtype=np.float32)
         b = FlowField(flow=np.zeros((2, 3, 2), dtype=np.float32))
         with pytest.raises(DimensionError):
             epe(a, b)

@@ -5,10 +5,11 @@ import pytest
 
 import graphflow.tensor as tt
 from graphflow.config import ModelConfig
-from graphflow.counting import conv_flops, conv_params, count_flops, count_params
+from graphflow.counting import conv_flops, count_flops, count_params
 from graphflow.data import FlowField
 from graphflow.errors import ConfigError, ContractError, DimensionError
 from graphflow.gradcheck import gradcheck
+from graphflow.layers import Conv2d
 from graphflow.model import (ConvGRU, FlowModel, MotionEncoder,
                              build_corr_pyramid, lookup, sequence_loss,
                              upsample_flow)
@@ -384,7 +385,8 @@ class TestCheckpointRoundTrip:
 
 class TestCounting:
     def test_single_conv_closed_forms(self):
-        assert conv_params(2, 4, 3) == 76
+        conv = Conv2d(np.random.default_rng(0), 2, 4, 3)
+        assert conv.w.data.size + conv.b.data.size == 76
         assert conv_flops(2, 4, 3, 8, 8) == 9216
 
     def test_component_sums_match_registry_total(self, f64):

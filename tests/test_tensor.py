@@ -6,9 +6,9 @@ import pytest
 from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
 from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2, concat,
-                              conv2d, expand, l2_normalize, matmul, mul, relu,
-                              reshape, scale, sigmoid, softmax, tanh, tmean,
-                              transpose, tsum, window_sample)
+                              conv2d, l2_normalize, matmul, mul, relu, reshape,
+                              scale, sigmoid, softmax, tanh, tmean, transpose,
+                              tsum, window_sample)
 from graphflow.gradcheck import gradcheck
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
@@ -56,11 +56,20 @@ class TestBroadcast:
         tsum(out).backward()
         assert s.grad == 8.0
 
-    def test_trailing_unit_extent_is_rejected(self):
-        a = c64(np.ones((3, 1)))
-        b = c64(np.ones((3, 4)))
-        with pytest.raises(DimensionError):
-            add(a, b)
+    def test_trailing_unit_extent_broadcasts(self):
+        a = p64(np.asarray([[1.0], [2.0], [3.0]]))
+        b = c64(np.arange(12.0).reshape(3, 4))
+        out = add(a, b)
+        assert np.array_equal(out.data, a.data + b.data)
+        tsum(mul(out, b)).backward()
+        assert np.array_equal(a.grad, b.data.sum(axis=1, keepdims=True))
+
+    def test_trailing_unit_axes_sum_their_replicas(self):
+        x = p64(np.asarray([[1.0], [2.0]]).reshape(2, 1, 1))
+        out = mul(x, c64(np.ones((2, 3, 4))))
+        assert out.shape == (2, 3, 4)
+        tsum(out).backward()
+        assert np.array_equal(x.grad, np.full((2, 1, 1), 12.0))
 
     def test_incompatible_extents_are_rejected(self):
         with pytest.raises(DimensionError):
@@ -108,16 +117,6 @@ class TestStructural:
         tsum(mul(out, c64(np.arange(9.0).reshape(3, 3)))).backward()
         assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
         assert np.array_equal(b.grad, [[6.0, 7.0, 8.0]])
-
-    def test_expand_backward_sums_replicas(self):
-        x = p64(np.asarray([[1.0], [2.0]]).reshape(2, 1, 1))
-        out = expand(x, (2, 3, 4))
-        tsum(out).backward()
-        assert np.array_equal(x.grad, np.full((2, 1, 1), 12.0))
-
-    def test_expand_rejects_non_unit_mismatch(self):
-        with pytest.raises(DimensionError):
-            expand(c64(np.ones((2, 3))), (2, 4))
 
     def test_sum_and_mean_over_axis_subsets(self):
         x = p64(np.arange(24.0).reshape(2, 3, 4))
