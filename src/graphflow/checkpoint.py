@@ -10,6 +10,7 @@ replaces the target, so an interrupted write leaves the old one intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -85,7 +86,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 f"{path}: entry {name!r} extents truncated at byte {pos}")
         shape = struct.unpack_from(f"<{rank}I", blob, pos)
         pos += 4 * rank
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        size = math.prod(shape)          # a Python int: no int64 wrap
         nbytes = 4 * size
         if pos + nbytes > len(blob):
             raise FormatError(

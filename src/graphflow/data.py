@@ -34,20 +34,16 @@ class FlowField:
     valid: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = self.array
+        arr = self.flow
         if arr.ndim != 3 or arr.shape[0] != 2:
             raise DimensionError(f"flow must be (2,H,W), got {arr.shape}")
         if self.valid is not None and self.valid.shape != arr.shape[1:]:
             raise DimensionError(
                 f"valid mask {self.valid.shape} does not match flow {arr.shape}")
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.flow
-
     def valid_mask(self) -> np.ndarray:
         if self.valid is None:
-            return np.ones(self.array.shape[1:], dtype=bool)
+            return np.ones(self.flow.shape[1:], dtype=bool)
         return self.valid
 
 
@@ -194,7 +190,7 @@ def gen_pair(spec: SyntheticSpec, index: int = 0):
 
 def write_flo(path: str | Path, flow: FlowField) -> None:
     """Middlebury .flo layout; masked pixels encode the unknown sentinel."""
-    arr = flow.array.astype(np.float32)
+    arr = flow.flow.astype(np.float32)
     if not np.all(np.isfinite(arr)):
         raise ContractError("refusing to serialize non-finite flow values")
     _, h, w = arr.shape
@@ -329,7 +325,7 @@ def flow_to_color(flow: np.ndarray, cap: float | None = None) -> np.ndarray:
 
 
 def _metric_inputs(pred: np.ndarray, gt: FlowField):
-    garr = gt.array
+    garr = gt.flow
     if pred.shape != garr.shape:
         raise DimensionError(
             f"prediction {pred.shape} does not match ground truth {garr.shape}")

@@ -231,7 +231,7 @@ def sequence_loss(preds: list[Tensor], gt: FlowField,
     """
     if not preds:
         raise ContractError("sequence_loss needs at least one prediction")
-    garr = gt.array
+    garr = gt.flow
     valid = gt.valid_mask()
     n_valid = int(valid.sum())
     if n_valid == 0:

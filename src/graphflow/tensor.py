@@ -16,6 +16,12 @@ bug far more often than a feature.
 right and any unit extent stretches to match. The backward pass sums
 the gradient over every stretched axis, leading or trailing.
 
+``conv2d`` builds its im2col columns with one strided slice copy per
+kernel tap, and copies the map into a padded buffer only when the
+padding is nonzero. At stride 1 the input gradient is a transposed
+conv through the same im2col; only strided convs scatter the column
+gradient back tap by tap.
+
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
 level, then blends it once with that pixel's four bilinear weights.
@@ -451,13 +457,45 @@ def l2_normalize(x: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
 # -- convolution and pooling -------------------------------------------------
 
 
+def _pad(a: np.ndarray, p: int) -> np.ndarray:
+    """Copy of a (C, H, W) map inside a zeroed (C, H+2p, W+2p) buffer."""
+    c, h, w = a.shape
+    out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[:, p:p + h, p:p + w] = a
+    return out
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (C*k*k, ho*wo) of a padded (C, H, W) map.
+
+    Row (c, ki, kj) holds xp[c, ki + stride*y, kj + stride*x] for every
+    output pixel (y, x). Each tap is one strided slice copy; a 1x1
+    stride-1 conv reads the map itself through a reshape.
+    """
+    c = xp.shape[0]
+    if k == 1 and stride == 1:
+        return xp.reshape(c, ho * wo)
+    cols = np.empty((c, k, k, ho, wo), dtype=xp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride,
+                                 kj:kj + stride * wo:stride]
+    return cols.reshape(c * k * k, ho * wo)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of one (C_in, H, W) map with (C_out, C_in, k, k).
 
     Output extents use floor semantics: (H + 2p - k)//stride + 1. The
-    forward runs as im2col plus one GEMM; the input gradient re-scatters
-    the column gradient with k*k strided slice additions.
+    forward runs as im2col plus one GEMM; the map is copied into a
+    zeroed padded buffer only when padding > 0. At stride 1 the input
+    gradient is a transposed conv: the output gradient, padded by
+    k - 1 - p (cropped when that is negative), goes through the same
+    im2col and one GEMM with the flipped kernel. At stride > 1 it
+    re-scatters the column gradient with k*k strided slice additions:
+    a transposed conv there would multiply by the zeros of a gradient
+    dilated by the stride, stride**2 times the FLOPs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     _check_same_dtype(x, w)
@@ -492,14 +530,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
             f"kernel {kh}, stride {stride}, padding {padding}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                      # (C_in, ho, wo, k, k)
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, ho * wo)
+    xp = _pad(x.data, padding) if padding else x.data
+    cols = _im2col(xp, kh, stride, ho, wo)
     wm = w.data.reshape(cout, cin * kh * kw)
     out = wm @ cols
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out_data = out.reshape(cout, ho, wo)
     parents = (x, w) if bias is None else (x, w, bias)
 
@@ -509,18 +545,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
             w._accum((gm @ cols.T).reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias._accum(gm.sum(axis=1))
-        if x.requires_grad:
-            dcols = wm.T @ gm
-            dwin = dcols.reshape(cin, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
+        if x.requires_grad and stride == 1:
+            q = kh - 1 - padding
+            gp = _pad(g, q) if q > 0 else g[:, -q:ho + q, -q:wo + q]
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            x._accum((wf @ _im2col(gp, kh, 1, h, wd)).reshape(x.shape))
+        elif x.requires_grad:
+            dwin = (wm.T @ gm).reshape(cin, kh, kw, ho, wo)
+            dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     dxp[:, ki:ki + stride * ho:stride,
                         kj:kj + stride * wo:stride] += dwin[:, ki, kj]
-            if padding:
-                x._accum(dxp[:, padding:padding + h, padding:padding + wd])
-            else:
-                x._accum(dxp)
+            x._accum(dxp[:, padding:padding + h, padding:padding + wd])
 
     return Tensor._from_op(out_data, parents, backward)
 
@@ -537,7 +574,10 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     c, h, wd = x.shape
     ho, wo = (h + 1) // 2, (wd + 1) // 2
     hp, wp = 2 * ho, 2 * wo
-    xp = np.pad(x.data, ((0, 0), (0, hp - h), (0, wp - wd)))
+    xp = x.data
+    if (hp, wp) != (h, wd):
+        xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
+        xp[:, :h, :wd] = x.data
     sums = xp[:, 0::2] + xp[:, 1::2]
     sums = sums[:, :, 0::2] + sums[:, :, 1::2]
     cy = np.full(ho, 2.0, dtype=x.data.dtype)

@@ -302,7 +302,7 @@ def test_criterion_09_flow_files_survive_100_round_trips(tmp_path):
         m = back.valid_mask()
         if mask is not None:
             assert np.array_equal(m, mask)
-        assert np.array_equal(back.array[:, m], flow[:, m])
+        assert np.array_equal(back.flow[:, m], flow[:, m])
 
     # a mangled magic number must abort the process with the data code
     good = tmp_path / "good.flo"

@@ -27,14 +27,14 @@ class TestGenPair:
         assert i1.dtype == np.float32 and i2.dtype == np.float32
         assert i1.shape == (3, 24, 32) and i2.shape == (3, 24, 32)
         assert i1.min() >= 0.0 and i1.max() <= 1.0
-        assert gt.array.shape == (2, 24, 32)
+        assert gt.flow.shape == (2, 24, 32)
 
     def test_same_seed_and_index_reproduce_bitwise(self):
         a = gen_pair(spec(), index=4)
         b = gen_pair(spec(), index=4)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
-        assert np.array_equal(a[2].array, b[2].array)
+        assert np.array_equal(a[2].flow, b[2].flow)
 
     def test_index_changes_the_sample(self):
         a = gen_pair(spec(), index=0)
@@ -44,19 +44,19 @@ class TestGenPair:
     def test_zero_magnitude_motion_copies_the_frame(self):
         i1, i2, gt = gen_pair(spec(mag_min=0.0, mag_max=0.0))
         assert np.array_equal(i1, i2)
-        assert np.array_equal(gt.array, np.zeros_like(gt.array))
+        assert np.array_equal(gt.flow, np.zeros_like(gt.flow))
         assert gt.valid_mask().all()
 
     def test_peak_displacement_lands_inside_the_magnitude_band(self):
         for idx in range(5):
             _, _, gt = gen_pair(spec(motion="sinusoidal-field", mag_min=2.0,
                                      mag_max=4.0), index=idx)
-            peak = np.sqrt((gt.array ** 2).sum(axis=0)).max()
+            peak = np.sqrt((gt.flow ** 2).sum(axis=0)).max()
             assert 2.0 - 1e-4 <= peak <= 4.0 + 1e-4
 
     def test_second_frame_is_the_backward_warp_of_the_first(self):
         i1, i2, gt = gen_pair(spec(motion="affine"))
-        warped, valid = warp_backward(i1, gt.array)
+        warped, valid = warp_backward(i1, gt.flow)
         assert np.array_equal(valid, gt.valid_mask())
         assert np.allclose(i2[:, valid], warped[:, valid], atol=1e-6)
 
@@ -73,7 +73,7 @@ class TestGenPair:
     @pytest.mark.parametrize("motion", ["constant", "affine", "sinusoidal-field"])
     def test_every_texture_and_motion_family_generates(self, texture, motion):
         i1, i2, gt = gen_pair(spec(texture=texture, motion=motion))
-        assert np.all(np.isfinite(i1)) and np.all(np.isfinite(gt.array))
+        assert np.all(np.isfinite(i1)) and np.all(np.isfinite(gt.flow))
         assert gt.valid_mask().any()
 
     def test_unknown_family_names_are_rejected(self):
@@ -92,7 +92,7 @@ class TestFloContainer:
         path = tmp_path / "a.flo"
         write_flo(path, FlowField(flow=flow))
         back = read_flo(path)
-        assert np.array_equal(back.array, flow)
+        assert np.array_equal(back.flow, flow)
         assert back.valid_mask().all()
 
     def test_single_pixel_file_is_twenty_bytes_little_endian(self, tmp_path):
@@ -113,7 +113,7 @@ class TestFloContainer:
         write_flo(path, FlowField(flow=flow, valid=valid))
         back = read_flo(path)
         assert np.array_equal(back.valid_mask(), valid)
-        assert np.array_equal(back.array[:, valid], flow[:, valid])
+        assert np.array_equal(back.flow[:, valid], flow[:, valid])
 
     def test_wrong_magic_is_rejected_with_offset(self, tmp_path):
         path = tmp_path / "d.flo"

@@ -8,7 +8,7 @@ import pytest
 import graphflow.tensor as tt
 from graphflow.checks import _op_cases
 from graphflow.errors import ContractError
-from graphflow.gradcheck import GradReport, gradcheck, rel_err
+from graphflow.gradcheck import gradcheck, rel_err
 from graphflow.tensor import (Tensor, conv2d, matmul, mul, relu, reshape,
                               softmax, tsum)
 

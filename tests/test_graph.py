@@ -6,11 +6,11 @@ import pytest
 import graphflow.tensor as tt
 from graphflow.errors import ConfigError, ContractError, DimensionError
 from graphflow.gradcheck import gradcheck
-from graphflow.graph import (GraphBlock, NodeSet, adapter_param_count,
+from graphflow.graph import (GraphBlock, adapter_param_count,
                              analytic_param_count, attentive_fuse,
-                             build_adjacency, embed_nodes, gcn_step,
-                             graph_adapter, predict_adapter_kernel, readout,
-                             reason, residual_merge)
+                             build_adjacency, gcn_step, graph_adapter,
+                             predict_adapter_kernel, readout, reason,
+                             residual_merge)
 from graphflow.tensor import Tensor, tsum, mul
 
 from oracles import naive_adjacency, naive_gcn_step, naive_nodes, naive_readout

@@ -290,7 +290,7 @@ class TestForward:
         out = model.predict(rng.uniform(size=(3, 8, 8)),
                             rng.uniform(size=(3, 8, 8)))
         assert isinstance(out, FlowField)
-        assert out.array.shape == (2, 8, 8)
+        assert out.flow.shape == (2, 8, 8)
 
     @pytest.mark.parametrize("mode", ["base", "sgr", "agr"])
     def test_every_graph_mode_runs_end_to_end(self, f64, mode):

@@ -1,5 +1,6 @@
 """AdamW stepping, the one-cycle schedule, and checkpoint serialization."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,15 @@ class TestCheckpointContainer:
         path = tmp_path / "i.agfw"
         path.write_bytes(good.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_extents_whose_product_overflows_int64_are_rejected(self, tmp_path):
+        # 65536**4 == 2**64 wraps to 0 in int64; the header promises
+        # 2**66 bytes of values and supplies none
+        path = tmp_path / "m.agfw"
+        path.write_bytes(b"AGFW" + struct.pack("<III", 1, 1, 1) + b"x"
+                         + struct.pack("<5I", 4, *(65536,) * 4))
+        with pytest.raises(FormatError, match="values truncated"):
             load_checkpoint(path)
 
     def test_trailing_garbage_is_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 """Autodiff engine: forward semantics, backward rules, broadcast contract."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -192,24 +194,30 @@ class TestConv2d:
     def test_matches_loop_oracle_exactly_on_integer_grids(self):
         rng = np.random.default_rng(9)
         x = rng.integers(-3, 4, size=(2, 8, 8)).astype(np.float64)
-        w = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
+        w3 = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
         b = rng.integers(-3, 4, size=4).astype(np.float64)
-        for stride, pad in [(1, 1), (2, 1), (1, 0), (2, 0)]:
-            out = conv2d(c64(x), c64(w), c64(b), stride=stride, padding=pad)
-            assert np.array_equal(
-                out.data, naive_conv2d(x, w, b, stride=stride, padding=pad))
+        w1 = rng.integers(-3, 4, size=(4, 2, 1, 1)).astype(np.float64)
+        for w in (w3, w1):
+            for stride, pad in itertools.product((1, 2), (0, 1, 2)):
+                out = conv2d(c64(x), c64(w), c64(b), stride=stride, padding=pad)
+                assert np.array_equal(
+                    out.data, naive_conv2d(x, w, b, stride=stride, padding=pad))
 
     def test_backward_matches_loop_adjoints_exactly(self):
+        # at stride 1 the input gradient pads the output gradient by
+        # k - 1 - padding: k = 3 covers 2, 1 and 0, k = 1 covers 0 and
+        # the crops of -1 and -2
         rng = np.random.default_rng(10)
-        for stride in (1, 2):
+        for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1, 2)):
             xd = rng.integers(-3, 4, size=(2, 8, 8)).astype(np.float64)
-            wd = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
+            wd = rng.integers(-3, 4, size=(4, 2, k, k)).astype(np.float64)
             bd = rng.integers(-3, 4, size=4).astype(np.float64)
             x, w, b = p64(xd), p64(wd), p64(bd)
-            out = conv2d(x, w, b, stride=stride, padding=1)
+            out = conv2d(x, w, b, stride=stride, padding=pad)
             g = rng.integers(-3, 4, size=out.shape).astype(np.float64)
             tsum(mul(out, c64(g))).backward()
-            dx, dw, db = naive_conv2d_backward(xd, wd, g, stride=stride, padding=1)
+            dx, dw, db = naive_conv2d_backward(xd, wd, g, stride=stride,
+                                               padding=pad)
             assert np.array_equal(x.grad, dx)
             assert np.array_equal(w.grad, dw)
             assert np.array_equal(b.grad, db)
@@ -219,11 +227,12 @@ class TestConv2d:
         x = p64(rng.normal(size=(2, 6, 6)))
         w = p64(rng.normal(size=(3, 2, 3, 3)) * 0.5)
         b = p64(rng.normal(size=3))
-        rep = gradcheck(
-            lambda: tsum(mul(conv2d(x, w, b, stride=2, padding=1),
-                             conv2d(x, w, b, stride=2, padding=1))),
-            {"x": x, "w": w, "b": b})
-        assert rep.max_rel_err < 1e-6
+        for stride in (2, 1):
+            rep = gradcheck(
+                lambda: tsum(mul(conv2d(x, w, b, stride=stride, padding=1),
+                                 conv2d(x, w, b, stride=stride, padding=1))),
+                {"x": x, "w": w, "b": b})
+            assert rep.max_rel_err < 1e-6
 
     def test_even_kernel_and_empty_output_are_rejected(self):
         with pytest.raises(DimensionError):

@@ -31,7 +31,7 @@ class TestLoadPairs:
         assert [p[0] for p in pairs] == ["pair_0000", "pair_0001"]
         pid, i1, i2, gt = pairs[0]
         assert i1.shape == (3, 16, 16) and i1.dtype == np.float32
-        assert gt.array.shape == (2, 16, 16)
+        assert gt.flow.shape == (2, 16, 16)
 
 
 class TestRunTraining:
