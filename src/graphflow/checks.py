@@ -21,7 +21,7 @@ from .graph import GraphBlock
 from .model import FlowModel, sequence_loss
 from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv2d,
                      l2_normalize, matmul, mul, relu, reshape, scale, sigmoid,
-                     softmax, tanh, tmean, transpose, tsum, window_sample)
+                     softmax, tanh, transpose, tsum, window_sample)
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -89,9 +89,6 @@ def _op_cases(rng):
 
     su = _param(rng, (4, 5))
     case("sum", {"x": su}, lambda: scale(tsum(su), 0.7))
-
-    me = _param(rng, (4, 5))
-    case("mean", {"x": me}, lambda: scale(tmean(me), 1.3))
 
     rs = _param(rng, (2, 6))
     rw = _weights(rng, (3, 4))

@@ -22,16 +22,18 @@ class ModelConfig:
     motion_iters: int = 1          # reasoning steps on the motion graph
     refine_iters: int = 6          # recurrent refinement iterations
     lookup_radius: int = 4         # correlation window radius
-    downsample: int = 4            # feature-grid stride versus image pixels
+    downsample: int = 4            # feature-grid stride; the encoders fix it at 4
     graph: str = "agr"
     seed: int = 0
 
     def validate(self) -> None:
         for name in ("feature_channels", "context_channels", "nodes",
-                     "context_iters", "motion_iters", "refine_iters",
-                     "downsample"):
+                     "context_iters", "motion_iters", "refine_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.downsample != 4:
+            raise ConfigError(
+                f"downsample must be 4 (two stride-2 encoder convs), got {self.downsample}")
         if self.lookup_radius < 0:
             raise ConfigError(f"lookup_radius must be >= 0, got {self.lookup_radius}")
         if self.seed < 0:

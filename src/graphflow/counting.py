@@ -117,7 +117,9 @@ def count_flops(cfg: ModelConfig, height: int, width: int) -> dict[str, int]:
                   + conv_flops(c + half, c, 3, h, w))
     graph = _context_stage_flops(cfg, n) + t * _graph_flops(cfg, n)
     gru = conv_flops(c, c, 3, h, w) + t * 3 * conv_flops(3 * c, c, 3, h, w)
-    headf = t * (conv_flops(c, c, 3, h, w) + conv_flops(c, 2, 3, h, w))
+    # upsample_flow: (2h, w) x (w, wd), then (2hd, 2h) x (2h, wd)
+    upsample = matmul_flops(2 * h, w, w * d) + matmul_flops(2 * h * d, 2 * h, w * d)
+    headf = t * (conv_flops(c, c, 3, h, w) + conv_flops(c, 2, 3, h, w) + upsample)
     out = {
         "feature_encoder": feature,
         "context_encoder": context,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import Conv2d, linear_pair
 from .tensor import (Tensor, add, concat, l2_normalize, matmul, mul, relu,
-                     reshape, sigmoid, softmax, tmean, transpose)
+                     reshape, scale, sigmoid, softmax, transpose, tsum)
 
 MODES = ("base", "sgr", "agr")
 CA_REDUCTION = 4        # channel-attention bottleneck: C -> C // 4 -> C
@@ -146,7 +146,8 @@ def attentive_fuse(fc: Tensor, fm: Tensor, ca_fc1: Conv2d, ca_fc2: Conv2d) -> Te
     """
     if fc.shape != fm.shape:
         raise DimensionError(f"fusion inputs differ: {fc.shape} vs {fm.shape}")
-    gap = tmean(fm, axis=(1, 2), keepdims=True)        # (C, 1, 1)
+    _, h, w = fm.shape
+    gap = scale(tsum(fm, axis=(1, 2), keepdims=True), 1.0 / (h * w))  # (C, 1, 1)
     gate = sigmoid(ca_fc2(relu(ca_fc1(gap))))          # (C, 1, 1)
     scaled = mul(add(gate, 1.0), fc)
     return concat([scaled, fm], axis=0)

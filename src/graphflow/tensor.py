@@ -7,6 +7,14 @@ it. The engine is deliberately small: only the operations the flow
 model needs exist, and each one validates its shapes eagerly so errors
 surface at the call site rather than deep inside a backward pass.
 
+The gradient contract: no gradient is ever written in place, so an op
+hands its arrays over without copying them. Leaf gradients are
+read-only and may share memory with one another (``add`` gives both
+parents the same array). ``backward()`` consumes the graph as it
+walks it: after it returns, interior nodes hold no gradient and no
+closure, so the tape's buffers are freed, and a graph supports one
+``backward()``.
+
 New tensors are float32 unless the ``precision`` context manager
 switches the width to 64 bit. Mixed-precision arithmetic is rejected:
 silently upcasting float32 parameters against float64 constants is a
@@ -90,7 +98,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """An ndarray with an optional gradient and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _default_dtype)
@@ -98,7 +106,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._done = False
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
@@ -106,7 +113,6 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out._done = False
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -139,16 +145,15 @@ class Tensor:
     # -- gradient machinery --------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-        else:
-            self.grad += g
+        # never in place: g may be shared with another node or be a view
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``grad``.
 
-        Only scalar roots are accepted; a second call on the same root
-        is a contract error because the closures have been consumed.
+        Only scalar roots are accepted. The walk consumes the graph: each
+        node's closure and parents are dropped once it has run, and so is
+        the gradient of every interior node but the root.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -156,9 +161,10 @@ class Tensor:
             )
         if not self.requires_grad:
             raise ContractError("backward() on a tensor that requires no grad")
-        if self._done:
-            raise ContractError("second backward() without rebuilding the graph")
-        self._done = True
+        if self._backward is None:
+            raise ContractError(
+                "backward() needs an op result: this root is a leaf, or its "
+                "graph was consumed by an earlier backward()")
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -178,6 +184,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = None, ()
+                if node is not self:
+                    node.grad = None
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -233,8 +242,7 @@ def scale(x: Tensor, s: float) -> Tensor:
     out_data = x.data * s
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * s)
+        x._accum(g * s)
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -244,8 +252,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * (x.data > 0))
+        x._accum(g * (x.data > 0))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -254,13 +261,12 @@ def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     d = x.data
     # split on sign so exp never overflows
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = out_data.astype(d.dtype, copy=False)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * out_data * (1.0 - out_data))
+        x._accum(g * out_data * (1.0 - out_data))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -270,8 +276,7 @@ def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * (1.0 - out_data * out_data))
+        x._accum(g * (1.0 - out_data * out_data))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -281,8 +286,7 @@ def absolute(x: Tensor) -> Tensor:
     out_data = np.abs(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g * np.sign(x.data))
+        x._accum(g * np.sign(x.data))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -307,31 +311,11 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        if x.requires_grad:
-            gg = g
-            if not keepdims:
-                for a in sorted(axes):
-                    gg = np.expand_dims(gg, a)
-            x._accum(np.broadcast_to(gg, x.shape))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    axes = _norm_axes(axis, x.data.ndim)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
-    out_data = x.data.mean(axis=axes, keepdims=keepdims)
-
-    def backward(g):
-        if x.requires_grad:
-            gg = g
-            if not keepdims:
-                for a in sorted(axes):
-                    gg = np.expand_dims(gg, a)
-            x._accum(np.broadcast_to(gg, x.shape) / count)
+        gg = g
+        if not keepdims:
+            for a in sorted(axes):
+                gg = np.expand_dims(gg, a)
+        x._accum(np.broadcast_to(gg, x.shape))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -345,23 +329,18 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}: {e}") from None
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(g.reshape(x.shape))
+        x._accum(g.reshape(x.shape))
 
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
+def transpose(x: Tensor) -> Tensor:
+    """Reverse the axes; the gradient is reversed back."""
     x = _as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
-    axes = tuple(axes)
-    out_data = np.transpose(x.data, axes)
-    inv = np.argsort(axes)
+    out_data = np.transpose(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x._accum(np.transpose(g, inv))
+        x._accum(np.transpose(g))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -427,9 +406,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accum(out_data * (g - dot))
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        x._accum(out_data * (g - dot))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -445,11 +423,10 @@ def l2_normalize(x: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
     out_data = x.data / denom
 
     def backward(g):
-        if x.requires_grad:
-            dot = (g * x.data).sum(axis=axis, keepdims=True)
-            live = (norm > eps)
-            safe = np.where(live, norm, 1.0)
-            x._accum(g / denom - np.where(live, x.data * dot / (safe * denom * denom), 0.0))
+        dot = (g * x.data).sum(axis=axis, keepdims=True)
+        live = (norm > eps)
+        safe = np.where(live, norm, 1.0)
+        x._accum(g / denom - np.where(live, x.data * dot / (safe * denom * denom), 0.0))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -590,13 +567,12 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     out_data = sums / counts
 
     def backward(g):
-        if x.requires_grad:
-            gd = g / counts
-            dxp = np.zeros_like(xp)
-            for oi in (0, 1):
-                for oj in (0, 1):
-                    dxp[:, oi::2, oj::2] = gd
-            x._accum(dxp[:, :h, :wd])
+        gd = g / counts
+        dxp = np.zeros_like(xp)
+        for oi in (0, 1):
+            for oj in (0, 1):
+                dxp[:, oi::2, oj::2] = gd
+        x._accum(dxp[:, :h, :wd])
 
     return Tensor._from_op(out_data, (x,), backward)
 

@@ -51,6 +51,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("field,value", [
         ("nodes", 0), ("refine_iters", 0), ("downsample", 0),
+        ("downsample", 2), ("downsample", 8),
         ("lookup_radius", -1), ("graph", "dense"), ("precision", 16),
         ("steps", 0), ("peak_lr", 0.0), ("warmup_frac", 1.0),
         ("threads", 0), ("weight_decay", -0.1), ("seed", -1),

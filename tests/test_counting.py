@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import graphflow.graph as graph_mod
+import graphflow.layers as layers_mod
+import graphflow.model as model_mod
 import graphflow.tensor as tt
 from graphflow.config import ModelConfig
 from graphflow.counting import (conv_flops, count_flops, count_params,
@@ -90,6 +93,35 @@ class TestFlopAccounting:
             assert three[name] == 3 * one[name]
         assert three["feature_encoder"] == one["feature_encoder"]
         assert three["correlation"] == one["correlation"]
+
+    @pytest.mark.parametrize("size,c,k", [(64, 64, 16), (32, 16, 8)])
+    @pytest.mark.parametrize("mode", ["base", "sgr", "agr"])
+    def test_total_matches_the_executed_work(self, monkeypatch, size, c, k,
+                                             mode):
+        """Every conv and matmul of one forward pass, counted as 2*MACs
+        at the call, adds up to count_flops exactly."""
+        executed = []
+
+        def counted_conv2d(x, w, bias=None, **kw):
+            out = tt.conv2d(x, w, bias, **kw)
+            cout, cin, kk, _ = w.shape
+            _, ho, wo = out.shape
+            executed.append(conv_flops(cin, cout, kk, ho, wo))
+            return out
+
+        def counted_matmul(a, b):
+            executed.append(matmul_flops(a.shape[0], a.shape[1], b.shape[1]))
+            return tt.matmul(a, b)
+
+        monkeypatch.setattr(layers_mod, "conv2d", counted_conv2d)
+        monkeypatch.setattr(model_mod, "matmul", counted_matmul)
+        monkeypatch.setattr(graph_mod, "matmul", counted_matmul)
+        cfg = ModelConfig(feature_channels=c, context_channels=c, nodes=k,
+                          refine_iters=3, graph=mode)
+        img = np.random.default_rng(0).uniform(size=(3, size, size))
+        with tt.no_grad():
+            FlowModel(cfg).forward(img, img)
+        assert sum(executed) == count_flops(cfg, size, size)["total"]
 
     def test_registry_and_flops_agree_on_component_names(self, f64):
         cfg = ModelConfig(feature_channels=8, context_channels=8, nodes=4,

@@ -87,7 +87,7 @@ class TestAuditCoverage:
         """Adding or removing an op without its gradient-audit case fails
         here at once, not inside the full audit run."""
         not_ops = {"precision", "no_grad"}
-        renamed = {"tsum": "sum", "tmean": "mean"}
+        renamed = {"tsum": "sum"}
         public = {renamed.get(name, name)
                   for name, fn in inspect.getmembers(tt, inspect.isfunction)
                   if fn.__module__ == tt.__name__

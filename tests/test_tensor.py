@@ -1,6 +1,7 @@
 """Autodiff engine: forward semantics, backward rules, broadcast contract."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
 from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2, concat,
                               conv2d, l2_normalize, matmul, mul, relu, reshape,
-                              scale, sigmoid, softmax, tanh, tmean, transpose,
-                              tsum, window_sample)
+                              scale, sigmoid, softmax, tanh, transpose, tsum,
+                              window_sample)
 from graphflow.gradcheck import gradcheck
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
@@ -123,7 +124,7 @@ class TestStructural:
     def test_sum_and_mean_over_axis_subsets(self):
         x = p64(np.arange(24.0).reshape(2, 3, 4))
         s = tsum(x, axis=(1, 2))
-        m = tmean(x, axis=(1, 2), keepdims=True)
+        m = scale(tsum(x, axis=(1, 2), keepdims=True), 1.0 / 12.0)
         assert s.shape == (2,) and m.shape == (2, 1, 1)
         tsum(add(s, reshape(m, (2,)))).backward()
         assert np.allclose(x.grad, 1.0 + 1.0 / 12.0)
@@ -385,8 +386,50 @@ class TestBackward:
         x = p64([1.0])
         loss = tsum(mul(x, x))
         loss.backward()
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="consumed"):
             loss.backward()
+
+    def test_leaf_root_is_rejected(self):
+        x = p64([1.0])
+        with pytest.raises(ContractError, match="leaf"):
+            x.backward()
+
+    def test_backward_frees_the_conv_columns(self, monkeypatch):
+        made = []
+        im2col = tt._im2col
+
+        def recording_im2col(*args):
+            cols = im2col(*args)
+            made.append(weakref.ref(cols))
+            return cols
+
+        monkeypatch.setattr(tt, "_im2col", recording_im2col)
+        rng = np.random.default_rng(5)
+        x = p64(rng.normal(size=(2, 5, 5)))
+        w = p64(rng.normal(size=(3, 2, 3, 3)))
+        loss = tsum(conv2d(x, w, padding=1))
+        assert made[0]() is not None
+        loss.backward()
+        assert made[0]() is None
+
+    def test_interior_gradients_are_dropped(self):
+        x = p64([1.0, 2.0])
+        y = mul(x, x)
+        z = scale(y, 3.0)
+        loss = tsum(z)
+        loss.backward()
+        assert y.grad is None and z.grad is None
+
+    def test_shared_gradients_are_never_written_in_place(self):
+        """add hands one array to both parents, so a later addition into
+        one leaf's gradient must not reach the other's."""
+        rng = np.random.default_rng(9)
+        a = p64(rng.normal(size=(2, 3)))
+        b = p64(rng.normal(size=(2, 3)))
+        w = c64(rng.integers(-4, 5, size=(2, 3)))
+        tsum(mul(add(scale(a, 2.0), add(a, b)), w)).backward()
+        assert np.array_equal(b.grad, w.data)
+        assert np.array_equal(a.grad, 3.0 * w.data)
 
     def test_no_grad_suppresses_graph_construction(self):
         x = p64([1.0, 2.0])
