@@ -116,12 +116,15 @@ def _op_cases(rng):
     case("l2_normalize", {"x": ln},
          lambda: tsum(mul(l2_normalize(ln, axis=0), lnw)))
 
+    # a stride-1 conv feeds a stride-2 one, so both backward paths run
     cx = _param(rng, (2, 5, 5))
+    ck1 = _param(rng, (2, 2, 3, 3))
     ck = _param(rng, (3, 2, 3, 3))
     cb = _param(rng, (3,))
     cvw = _weights(rng, (3, 3, 3))
-    case("conv2d", {"x": cx, "w": ck, "b": cb},
-         lambda: tsum(mul(conv2d(cx, ck, cb, stride=2, padding=1), cvw)))
+    case("conv2d", {"x": cx, "w1": ck1, "w": ck, "b": cb},
+         lambda: tsum(mul(conv2d(conv2d(cx, ck1, padding=1), ck, cb,
+                                 stride=2, padding=1), cvw)))
 
     px = _param(rng, (2, 5, 5))
     pw = _weights(rng, (2, 3, 3))

@@ -276,6 +276,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
     need = pos + 3 * w * h
     if len(blob) < need:
         raise FormatError(f"{path}: pixel data ends at {len(blob)}, expected {need}")
+    if len(blob) > need:
+        raise FormatError(f"{path}: {len(blob) - need} trailing bytes after the pixel data")
     raw = np.frombuffer(blob, dtype=np.uint8, count=3 * w * h, offset=pos)
     return (raw.reshape(h, w, 3).transpose(2, 0, 1) / np.float32(255.0))
 

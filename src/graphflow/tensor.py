@@ -26,9 +26,9 @@ the gradient over every stretched axis, leading or trailing.
 
 ``conv2d`` builds its im2col columns with one strided slice copy per
 kernel tap, and copies the map into a padded buffer only when the
-padding is nonzero. At stride 1 the input gradient is a transposed
-conv through the same im2col; only strided convs scatter the column
-gradient back tap by tap.
+padding is nonzero. At stride 1 the tape keeps no columns: both
+gradients come from one im2col of the output gradient. Strided convs
+keep their columns and scatter the column gradient back tap by tap.
 
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
@@ -466,13 +466,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
 
     Output extents use floor semantics: (H + 2p - k)//stride + 1. The
     forward runs as im2col plus one GEMM; the map is copied into a
-    zeroed padded buffer only when padding > 0. At stride 1 the input
-    gradient is a transposed conv: the output gradient, padded by
-    k - 1 - p (cropped when that is negative), goes through the same
-    im2col and one GEMM with the flipped kernel. At stride > 1 it
-    re-scatters the column gradient with k*k strided slice additions:
-    a transposed conv there would multiply by the zeros of a gradient
-    dilated by the stride, stride**2 times the FLOPs.
+    zeroed padded buffer only when padding > 0. At stride 1 the tape
+    keeps no columns: the output gradient, padded by k - 1 - p (cropped
+    when that is negative), goes through the same im2col, and its GEMMs
+    with the flipped kernel and with the input map give the input
+    gradient (a transposed conv) and the flipped weight gradient. At
+    stride > 1 the columns are kept for the weight gradient, and the
+    input gradient re-scatters the column gradient with k*k strided
+    slice additions: a transposed conv there would multiply by the
+    zeros of a gradient dilated by the stride, stride**2 times the FLOPs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     _check_same_dtype(x, w)
@@ -511,6 +513,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
     cols = _im2col(xp, kh, stride, ho, wo)
     wm = w.data.reshape(cout, cin * kh * kw)
     out = wm @ cols
+    if stride == 1:
+        del cols                       # backward works from the gradient's im2col
     if bias is not None:
         out += bias.data[:, None]
     out_data = out.reshape(cout, ho, wo)
@@ -518,16 +522,22 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
 
     def backward(g):
         gm = g.reshape(cout, ho * wo)
-        if w.requires_grad:
-            w._accum((gm @ cols.T).reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias._accum(gm.sum(axis=1))
-        if x.requires_grad and stride == 1:
+        if stride == 1:
             q = kh - 1 - padding
             gp = _pad(g, q) if q > 0 else g[:, -q:ho + q, -q:wo + q]
-            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            x._accum((wf @ _im2col(gp, kh, 1, h, wd)).reshape(x.shape))
-        elif x.requires_grad:
+            gcols = _im2col(gp, kh, 1, h, wd)
+            if w.requires_grad:
+                dw = (gcols @ x.data.reshape(cin, h * wd).T).reshape(cout, kh, kw, cin)
+                w._accum(dw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+            if x.requires_grad:
+                wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+                x._accum((wf @ gcols).reshape(x.shape))
+            return
+        if w.requires_grad:
+            w._accum((gm @ cols.T).reshape(w.shape))
+        if x.requires_grad:
             dwin = (wm.T @ gm).reshape(cin, kh, kw, ho, wo)
             dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
             for ki in range(kh):

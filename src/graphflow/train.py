@@ -53,8 +53,10 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
     Pairs are visited round-robin by step index, and no randomness is
     drawn inside the loop, so a run restarted from its own checkpoint
     continues bit-for-bit where it stopped. Checkpoints hold float32
-    only, so a 64-bit run cannot be resumed. Emits ``train.tsv`` plus
-    periodic and final checkpoints under ``cfg.out``.
+    only, so a 64-bit run cannot be resumed. A non-finite loss, or a
+    non-finite parameter gradient under a finite loss, raises
+    ``NumericError`` before the update touches the weights. Emits
+    ``train.tsv`` plus periodic and final checkpoints under ``cfg.out``.
     """
     cfg.validate()
     if not cfg.data:
@@ -112,6 +114,10 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
                     first_loss = value
                 last_loss = value
                 total.backward()
+                for name, p in model.params.items():
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise NumericError(f"gradient of {name} became "
+                                           f"non-finite at step {step}")
                 opt.step(lr=lr)
                 done = step + 1
                 if done % cfg.log_interval == 0 or done == cfg.steps:

@@ -171,6 +171,12 @@ class TestPpmContainer:
         with pytest.raises(FormatError, match="ends at"):
             read_ppm(path)
 
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        path = tmp_path / "g.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 14)
+        with pytest.raises(FormatError, match="2 trailing bytes"):
+            read_ppm(path)
+
     @pytest.mark.parametrize("extents", [b"-2 3", b"2 0", b"0 0"])
     def test_non_positive_extents_are_rejected(self, tmp_path, extents):
         path = tmp_path / "f.ppm"

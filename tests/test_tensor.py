@@ -395,6 +395,9 @@ class TestBackward:
             x.backward()
 
     def test_backward_frees_the_conv_columns(self, monkeypatch):
+        """A stride-1 conv keeps no columns on the tape: both its gradients
+        come from the output gradient's im2col. A strided conv keeps its
+        columns for the weight gradient until backward() frees them."""
         made = []
         im2col = tt._im2col
 
@@ -407,10 +410,13 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x = p64(rng.normal(size=(2, 5, 5)))
         w = p64(rng.normal(size=(3, 2, 3, 3)))
-        loss = tsum(conv2d(x, w, padding=1))
-        assert made[0]() is not None
-        loss.backward()
+        w2 = p64(rng.normal(size=(4, 3, 3, 3)))
+        y = conv2d(x, w, padding=1)
         assert made[0]() is None
+        loss = tsum(conv2d(y, w2, stride=2, padding=1))
+        assert made[1]() is not None
+        loss.backward()
+        assert made[1]() is None
 
     def test_interior_gradients_are_dropped(self):
         x = p64([1.0, 2.0])

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from graphflow import train
 from graphflow.config import RunConfig
 from graphflow.data import DatasetSpec, gen_dataset
 from graphflow.errors import ConfigError, NumericError
+from graphflow.model import FlowModel
+from graphflow.tensor import Tensor
 from graphflow.train import load_pairs, run_training
 
 
@@ -44,6 +47,34 @@ class TestRunTraining:
                        warmup_frac=0.0)
         with pytest.raises(NumericError, match=r"step \d"):
             run_training(cfg)
+
+    def test_non_finite_gradient_stops_before_the_update(self, tmp_path,
+                                                        manifest, monkeypatch):
+        """A finite loss with an infinite gradient names the step and the
+        parameter, and the update never writes NaN into the weights."""
+        models = []
+
+        class RecordingModel(FlowModel):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                models.append(self)
+
+        backward = Tensor.backward
+        calls = []
+
+        def poisoned_backward(root):
+            backward(root)
+            calls.append(root)
+            if len(calls) == 2:
+                p = models[0].params["head.conv2.w"]
+                p.grad = np.full_like(p.data, np.inf)
+
+        monkeypatch.setattr(train, "FlowModel", RecordingModel)
+        monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+        with pytest.raises(NumericError,
+                           match=r"gradient of head\.conv2\.w .* step 1$"):
+            run_training(tiny_cfg(manifest, tmp_path / "run"))
+        assert all(np.isfinite(p.data).all() for p in models[0].params.values())
 
     def test_missing_data_path_is_a_config_error(self, tmp_path):
         cfg = tiny_cfg("x", tmp_path / "run")
