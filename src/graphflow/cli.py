@@ -115,15 +115,11 @@ def _echo_config(cfg) -> None:
 
 
 def _cmd_gen(args, cfg) -> int:
-    from .config import apply_kv, format_config, parse_kv_text
+    from .config import apply_kv, format_config, read_kv_file
     from .data import DatasetSpec, gen_dataset
     spec = DatasetSpec()
     if args.spec:
-        path = Path(args.spec)
-        if not path.is_file():
-            from .errors import ConfigError
-            raise ConfigError(f"spec file not found: {args.spec}")
-        apply_kv(spec, parse_kv_text(path.read_text(), source=args.spec))
+        apply_kv(spec, read_kv_file(args.spec, "spec"))
     if args.seed is not None:
         spec.seed = args.seed
     out = Path(cfg.out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,10 +70,12 @@ class RunConfig(ModelConfig):
         for name in ("steps", "batch_size", "log_interval", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.peak_lr <= 0:
-            raise ConfigError(f"peak_lr must be positive, got {self.peak_lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.peak_lr < math.inf:
+            raise ConfigError(
+                f"peak_lr must be positive and finite, got {self.peak_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError(f"warmup_frac must be in [0,1), got {self.warmup_frac}")
 
@@ -125,13 +128,23 @@ def apply_kv(cfg, pairs: dict[str, str]):
     return cfg
 
 
+def read_kv_file(path: str, kind: str) -> dict[str, str]:
+    """Parse a UTF-8 ``key = value`` file; ``kind`` names it in errors."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: {kind} file is not UTF-8 text (byte {exc.start})") from None
+    return parse_kv_text(text, source=str(path))
+
+
 def load_run_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        apply_kv(cfg, parse_kv_text(p.read_text(), source=str(path)))
+        apply_kv(cfg, read_kv_file(path, "config"))
     return cfg
 
 

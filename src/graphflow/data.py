@@ -374,9 +374,14 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"manifest not found: {path}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: manifest is not UTF-8 text (byte {exc.start})") from None
     root = p.parent
     entries = []
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

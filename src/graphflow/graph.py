@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .layers import Conv2d, linear_pair
+from .layers import Conv2d, he_std, linear_pair, parameter
 from .tensor import (Tensor, add, concat, l2_normalize, matmul, mul, relu,
                      reshape, scale, sigmoid, softmax, transpose, tsum)
 
@@ -149,7 +149,7 @@ def attentive_fuse(fc: Tensor, fm: Tensor, ca_fc1: Conv2d, ca_fc2: Conv2d) -> Te
     _, h, w = fm.shape
     gap = scale(tsum(fm, axis=(1, 2), keepdims=True), 1.0 / (h * w))  # (C, 1, 1)
     gate = sigmoid(ca_fc2(relu(ca_fc1(gap))))          # (C, 1, 1)
-    scaled = mul(add(gate, 1.0), fc)
+    scaled = mul(add(gate, Tensor(1.0, dtype=gate.dtype)), fc)
     return concat([scaled, fm], axis=0)
 
 
@@ -201,22 +201,18 @@ class GraphBlock:
         self.context_steps = context_steps
         self.motion_steps = motion_steps
         self.mode = mode
-        self.params: dict[str, Tensor] = {}
+        params: dict[str, Tensor] = {}
+        self.params = params
         mid = max(channels // 2, 1)
 
         def proj_head(prefix):
-            c1 = Conv2d(rng, channels, mid, 1)
-            c2 = Conv2d(rng, mid, node_count, 1, gain="linear")
-            c1.register(self.params, f"{prefix}.conv1")
-            c2.register(self.params, f"{prefix}.conv2")
-            return c1, c2
+            return (Conv2d(rng, params, f"{prefix}.conv1", channels, mid, 1),
+                    Conv2d(rng, params, f"{prefix}.conv2", mid, node_count, 1,
+                           gain="linear"))
 
         def gcn_weight(name):
-            std = np.sqrt(2.0 / channels)
-            t = Tensor(rng.normal(0.0, std, size=(channels, channels)),
-                       requires_grad=True)
-            self.params[name] = t
-            return t
+            return parameter(params, name, rng.normal(
+                0.0, he_std(channels), size=(channels, channels)))
 
         if mode == "base":
             self.proj = proj_head("graph.proj")
@@ -227,23 +223,17 @@ class GraphBlock:
         self.mot_proj = proj_head("graph.mot_proj")
         self.ctx_gcn_w = gcn_weight("graph.ctx_gcn.w")
         self.mot_gcn_w = gcn_weight("graph.mot_gcn.w")
-        self.alpha = Tensor(np.zeros(()), requires_grad=True)
-        self.beta = Tensor(np.zeros(()), requires_grad=True)
-        self.params["graph.alpha"] = self.alpha
-        self.params["graph.beta"] = self.beta
+        self.alpha = parameter(params, "graph.alpha", np.zeros(()))
+        self.beta = parameter(params, "graph.beta", np.zeros(()))
         mid_r = max(channels // CA_REDUCTION, 1)
-        self.ca_fc1 = Conv2d(rng, channels, mid_r, 1)
-        self.ca_fc2 = Conv2d(rng, mid_r, channels, 1, gain="linear")
-        self.ca_fc1.register(self.params, "graph.ca.fc1")
-        self.ca_fc2.register(self.params, "graph.ca.fc2")
+        self.ca_fc1 = Conv2d(rng, params, "graph.ca.fc1", channels, mid_r, 1)
+        self.ca_fc2 = Conv2d(rng, params, "graph.ca.fc2", mid_r, channels, 1,
+                             gain="linear")
         if mode == "agr":
-            self.theta_w, self.theta_b = linear_pair(rng, node_count, channels,
-                                                     gain="linear")
-            self.params["graph.theta.w"] = self.theta_w
-            self.params["graph.theta.b"] = self.theta_b
-            self.adapter_w, self.adapter_b = linear_pair(rng, channels, channels)
-            self.params["graph.adapter.w"] = self.adapter_w
-            self.params["graph.adapter.b"] = self.adapter_b
+            self.theta_w, self.theta_b = linear_pair(
+                rng, params, "graph.theta", node_count, channels, gain="linear")
+            self.adapter_w, self.adapter_b = linear_pair(
+                rng, params, "graph.adapter", channels, channels)
 
     # -- stages --------------------------------------------------------------
 
@@ -269,7 +259,7 @@ class GraphBlock:
         self._check_stream(f_c, "context")
         if self.mode == "base":
             return {}
-        vc = embed_nodes(f_c, *self.ctx_proj)
+        vc = self.embed_context(f_c)
         enhanced = reason(vc.nodes, build_adjacency(vc.nodes), self.ctx_gcn_w,
                           self.context_steps)
         fc_hat = residual_merge(
@@ -288,7 +278,7 @@ class GraphBlock:
             raise DimensionError(
                 f"stream shapes differ: {f_c.shape} vs {f_m.shape}")
         if self.mode == "base":
-            vs = embed_nodes(add(f_c, f_m), *self.proj)
+            vs = self.embed_context(add(f_c, f_m))
             enhanced = reason(vs.nodes, build_adjacency(vs.nodes), self.gcn_w,
                               self.context_steps)
             fhat = readout(enhanced, vs.proj, vs.source_shape)
@@ -296,7 +286,7 @@ class GraphBlock:
 
         if cache is None:
             cache = self.context_stage(f_c)
-        vm = embed_nodes(f_m, *self.mot_proj)
+        vm = self.embed_motion(f_m)
         if self.mode == "agr":
             adj = graph_adapter(vm.nodes, cache["kernel"], self.adapter_w,
                                 self.adapter_b)

@@ -1,4 +1,12 @@
-"""Parameter containers shared by the matching network and the graph stage."""
+"""Parameter containers shared by the matching network and the graph stage.
+
+Registration rule: every layer takes the owner's ``params`` dict and a
+name, and inserts each trainable tensor under its full dotted name
+(``name.w``, ``name.b``) the moment it draws it. A name is written
+once, where its layer is built, and registration order is
+construction order, which is also the RNG draw order, so checkpoint
+bytes follow from the order of the constructor calls alone.
+"""
 
 from __future__ import annotations
 
@@ -13,36 +21,38 @@ def he_std(fan_in: int, gain: str = "relu") -> float:
     return float(np.sqrt(base / fan_in))
 
 
+def parameter(params: dict, name: str, data: np.ndarray) -> Tensor:
+    """A new trainable tensor, registered in ``params`` under ``name``."""
+    params[name] = Tensor(data, requires_grad=True)
+    return params[name]
+
+
 class Conv2d:
-    """A conv layer owning its weight and bias tensors.
+    """A same-padded conv layer owning ``name.w`` and a zero ``name.b``.
 
     Biases start at zero so freshly built gates and heads produce
     reproducible, data-independent values.
     """
 
-    def __init__(self, rng: np.random.Generator, cin: int, cout: int, k: int,
-                 *, stride: int = 1, padding: int | None = None,
-                 bias: bool = True, gain: str = "relu"):
+    def __init__(self, rng: np.random.Generator, params: dict, name: str,
+                 cin: int, cout: int, k: int, *, stride: int = 1,
+                 gain: str = "relu"):
         std = he_std(cin * k * k, gain)
-        self.w = Tensor(rng.normal(0.0, std, size=(cout, cin, k, k)),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(cout), requires_grad=True) if bias else None
+        self.w = parameter(params, f"{name}.w",
+                           rng.normal(0.0, std, size=(cout, cin, k, k)))
+        self.b = parameter(params, f"{name}.b", np.zeros(cout))
         self.stride = stride
-        self.padding = k // 2 if padding is None else padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-
-    def register(self, params: dict, prefix: str) -> None:
-        params[f"{prefix}.w"] = self.w
-        if self.b is not None:
-            params[f"{prefix}.b"] = self.b
+        return conv2d(x, self.w, self.b, stride=self.stride,
+                      padding=self.w.shape[2] // 2)
 
 
-def linear_pair(rng: np.random.Generator, out_dim: int, in_dim: int,
+def linear_pair(rng: np.random.Generator, params: dict, name: str,
+                out_dim: int, in_dim: int,
                 gain: str = "relu") -> tuple[Tensor, Tensor]:
-    """Weight (out, in) and zero bias (out,) for a dense map."""
-    w = Tensor(rng.normal(0.0, he_std(in_dim, gain), size=(out_dim, in_dim)),
-               requires_grad=True)
-    b = Tensor(np.zeros(out_dim), requires_grad=True)
+    """Weight ``name.w`` (out, in) and zero bias ``name.b`` (out,)."""
+    w = parameter(params, f"{name}.w",
+                  rng.normal(0.0, he_std(in_dim, gain), size=(out_dim, in_dim)))
+    b = parameter(params, f"{name}.b", np.zeros(out_dim))
     return w, b

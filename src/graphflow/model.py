@@ -34,33 +34,31 @@ class CorrelationPyramid:
     """Per-pixel matching costs against the target at 4 pooled scales."""
 
     levels: list        # level l: Tensor (N, ceil(h/2^l), ceil(w/2^l))
-    feature_dim: int
     grid: tuple[int, int]
 
 
 class ResBlock:
-    def __init__(self, rng, ch):
-        self.conv1 = Conv2d(rng, ch, ch, 3)
-        self.conv2 = Conv2d(rng, ch, ch, 3)
+    def __init__(self, rng, params, prefix, ch):
+        self.conv1 = Conv2d(rng, params, f"{prefix}.conv1", ch, ch, 3)
+        self.conv2 = Conv2d(rng, params, f"{prefix}.conv2", ch, ch, 3)
 
     def __call__(self, x):
         return relu(add(x, self.conv2(relu(self.conv1(x)))))
-
-    def register(self, params, prefix):
-        self.conv1.register(params, f"{prefix}.conv1")
-        self.conv2.register(params, f"{prefix}.conv2")
 
 
 class Encoder:
     """Conv stem plus two residual blocks per scale, two stride-2 scales."""
 
-    def __init__(self, rng, cout):
+    def __init__(self, rng, params, prefix, cout):
         mid = max(cout // 2, 2)
-        self.stem = Conv2d(rng, 3, mid, 3, stride=2)
-        self.blocks1 = [ResBlock(rng, mid), ResBlock(rng, mid)]
-        self.down = Conv2d(rng, mid, cout, 3, stride=2)
-        self.blocks2 = [ResBlock(rng, cout), ResBlock(rng, cout)]
-        self.out = Conv2d(rng, cout, cout, 1, gain="linear")
+        self.stem = Conv2d(rng, params, f"{prefix}.stem", 3, mid, 3, stride=2)
+        self.blocks1 = [ResBlock(rng, params, f"{prefix}.layer1.block{i}", mid)
+                        for i in range(2)]
+        self.down = Conv2d(rng, params, f"{prefix}.down", mid, cout, 3, stride=2)
+        self.blocks2 = [ResBlock(rng, params, f"{prefix}.layer2.block{i}", cout)
+                        for i in range(2)]
+        self.out = Conv2d(rng, params, f"{prefix}.out", cout, cout, 1,
+                          gain="linear")
 
     def __call__(self, x):
         h = relu(self.stem(x))
@@ -71,46 +69,37 @@ class Encoder:
             h = blk(h)
         return self.out(h)
 
-    def register(self, params, prefix):
-        self.stem.register(params, f"{prefix}.stem")
-        for i, blk in enumerate(self.blocks1):
-            blk.register(params, f"{prefix}.layer1.block{i}")
-        self.down.register(params, f"{prefix}.down")
-        for i, blk in enumerate(self.blocks2):
-            blk.register(params, f"{prefix}.layer2.block{i}")
-        self.out.register(params, f"{prefix}.out")
-
 
 class MotionEncoder:
     """Four convs: two on correlation features, one on flow, one after concat."""
 
-    def __init__(self, rng, corr_ch, cout):
+    def __init__(self, rng, params, prefix, corr_ch, cout):
         half = max(cout // 2, 1)
-        self.corr1 = Conv2d(rng, corr_ch, cout, 1)
-        self.corr2 = Conv2d(rng, cout, cout, 3)
-        self.flow1 = Conv2d(rng, 2, half, 3)
-        self.fuse = Conv2d(rng, cout + half, cout, 3, gain="linear")
+        self.corr1 = Conv2d(rng, params, f"{prefix}.corr1", corr_ch, cout, 1)
+        self.corr2 = Conv2d(rng, params, f"{prefix}.corr2", cout, cout, 3)
+        self.flow1 = Conv2d(rng, params, f"{prefix}.flow1", 2, half, 3)
+        self.fuse = Conv2d(rng, params, f"{prefix}.fuse", cout + half, cout, 3,
+                           gain="linear")
 
     def __call__(self, corr_feats, flow):
         a = relu(self.corr2(relu(self.corr1(corr_feats))))
         b = relu(self.flow1(flow))
         return self.fuse(concat([a, b], axis=0))
 
-    def register(self, params, prefix):
-        for name, conv in (("corr1", self.corr1), ("corr2", self.corr2),
-                           ("flow1", self.flow1), ("fuse", self.fuse)):
-            conv.register(params, f"{prefix}.{name}")
-
 
 class ConvGRU:
     """Gated state update; input is the fused (2C) feature map."""
 
-    def __init__(self, rng, hidden, input_ch):
+    def __init__(self, rng, params, prefix, hidden, input_ch):
         both = hidden + input_ch
-        self.init_conv = Conv2d(rng, hidden, hidden, 3, gain="linear")
-        self.convz = Conv2d(rng, both, hidden, 3, gain="linear")
-        self.convr = Conv2d(rng, both, hidden, 3, gain="linear")
-        self.convq = Conv2d(rng, both, hidden, 3, gain="linear")
+        self.init_conv = Conv2d(rng, params, f"{prefix}.init", hidden, hidden, 3,
+                                gain="linear")
+        self.convz = Conv2d(rng, params, f"{prefix}.convz", both, hidden, 3,
+                            gain="linear")
+        self.convr = Conv2d(rng, params, f"{prefix}.convr", both, hidden, 3,
+                            gain="linear")
+        self.convq = Conv2d(rng, params, f"{prefix}.convq", both, hidden, 3,
+                            gain="linear")
 
     def initial_state(self, context):
         return tanh(self.init_conv(context))
@@ -120,27 +109,18 @@ class ConvGRU:
         z = sigmoid(self.convz(hx))
         r = sigmoid(self.convr(hx))
         q = tanh(self.convq(concat([mul(r, hidden), x], axis=0)))
-        one_minus_z = add(scale(z, -1.0), 1.0)
+        one_minus_z = add(scale(z, -1.0), Tensor(1.0, dtype=z.dtype))
         return add(mul(one_minus_z, hidden), mul(z, q))
-
-    def register(self, params, prefix):
-        self.init_conv.register(params, f"{prefix}.init")
-        self.convz.register(params, f"{prefix}.convz")
-        self.convr.register(params, f"{prefix}.convr")
-        self.convq.register(params, f"{prefix}.convq")
 
 
 class FlowHead:
-    def __init__(self, rng, hidden):
-        self.conv1 = Conv2d(rng, hidden, hidden, 3)
-        self.conv2 = Conv2d(rng, hidden, 2, 3, gain="linear")
+    def __init__(self, rng, params, prefix, hidden):
+        self.conv1 = Conv2d(rng, params, f"{prefix}.conv1", hidden, hidden, 3)
+        self.conv2 = Conv2d(rng, params, f"{prefix}.conv2", hidden, 2, 3,
+                            gain="linear")
 
     def __call__(self, hidden):
         return self.conv2(relu(self.conv1(hidden)))
-
-    def register(self, params, prefix):
-        self.conv1.register(params, f"{prefix}.conv1")
-        self.conv2.register(params, f"{prefix}.conv2")
 
 
 # -- correlation -------------------------------------------------------------
@@ -158,7 +138,7 @@ def build_corr_pyramid(f1: Tensor, f2: Tensor) -> CorrelationPyramid:
     levels = [reshape(vol, (n, h, w))]
     for _ in range(PYRAMID_LEVELS - 1):
         levels.append(avg_pool2x2(levels[-1]))
-    return CorrelationPyramid(levels=levels, feature_dim=c, grid=(h, w))
+    return CorrelationPyramid(levels=levels, grid=(h, w))
 
 
 def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
@@ -264,21 +244,18 @@ class FlowModel:
         side = 2 * cfg.lookup_radius + 1
         corr_ch = PYRAMID_LEVELS * side * side
         self.params: dict[str, Tensor] = {}
-        self.fnet = Encoder(rng, cfg.feature_channels)
-        self.fnet.register(self.params, "fnet")
-        self.cnet = Encoder(rng, cfg.context_channels)
-        self.cnet.register(self.params, "cnet")
-        self.motion = MotionEncoder(rng, corr_ch, cfg.context_channels)
-        self.motion.register(self.params, "mot")
+        self.fnet = Encoder(rng, self.params, "fnet", cfg.feature_channels)
+        self.cnet = Encoder(rng, self.params, "cnet", cfg.context_channels)
+        self.motion = MotionEncoder(rng, self.params, "mot", corr_ch,
+                                    cfg.context_channels)
         self.graph = GraphBlock(cfg.context_channels, cfg.nodes,
                                 context_steps=cfg.context_iters,
                                 motion_steps=cfg.motion_iters,
                                 mode=cfg.graph, rng=rng)
         self.params.update(self.graph.params)
-        self.gru = ConvGRU(rng, cfg.context_channels, 2 * cfg.context_channels)
-        self.gru.register(self.params, "gru")
-        self.head = FlowHead(rng, cfg.context_channels)
-        self.head.register(self.params, "head")
+        self.gru = ConvGRU(rng, self.params, "gru", cfg.context_channels,
+                           2 * cfg.context_channels)
+        self.head = FlowHead(rng, self.params, "head", cfg.context_channels)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -291,8 +268,9 @@ class FlowModel:
             raise ConfigError(
                 f"{name} extents {arr.shape[1]}x{arr.shape[2]} are not "
                 f"divisible by downsample={d}")
-        some = Tensor(arr, dtype=next(iter(self.params.values())).dtype)
-        return add(scale(some, 2.0), -1.0)             # [0,1] -> [-1,1]
+        dtype = next(iter(self.params.values())).dtype
+        scaled = np.asarray(arr, dtype=dtype) * 2.0 - 1.0   # [0,1] -> [-1,1]
+        return Tensor(scaled, dtype=dtype)
 
     def encode_features(self, i1, i2):
         x1 = self._prep_image(i1, "first image")

@@ -78,7 +78,12 @@ class AdamW:
                 buf[name] = arr.astype(p.data.dtype)
         if "meta.adam_t" not in entries:
             raise ContractError("checkpoint lacks the optimizer step counter")
-        self.t = int(entries["meta.adam_t"][0])
+        t = np.asarray(entries["meta.adam_t"])
+        if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
+            raise ContractError(
+                f"checkpoint entry 'meta.adam_t' must hold one integral step "
+                f"count >= 0, got {t.tolist()!r} (shape {t.shape})")
+        self.t = int(t[0])
 
 
 def one_cycle_lr(step: int, total_steps: int, peak_lr: float,

@@ -7,6 +7,11 @@ it. The engine is deliberately small: only the operations the flow
 model needs exist, and each one validates its shapes eagerly so errors
 surface at the call site rather than deep inside a backward pass.
 
+Every op takes Tensors only; nothing coerces arrays or Python
+scalars. A constant operand is a Tensor the caller builds, such as
+``Tensor(1.0, dtype=x.dtype)``, and a fixed multiplier goes through
+``scale``.
+
 The gradient contract: no gradient is ever written in place, so an op
 hands its arrays over without copying them. Leaf gradients are
 read-only and may share memory with one another (``add`` gives both
@@ -189,13 +194,6 @@ class Tensor:
                     node.grad = None
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype or _default_dtype))
-
-
 def _check_same_dtype(*ts: Tensor) -> None:
     d0 = ts[0].data.dtype
     for t in ts[1:]:
@@ -207,7 +205,6 @@ def _check_same_dtype(*ts: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a)
     _check_same_dtype(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data + b.data
@@ -222,7 +219,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a)
     _check_same_dtype(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data * b.data
@@ -237,7 +233,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    x = _as_tensor(x)
     s = float(s)
     out_data = x.data * s
 
@@ -248,7 +243,6 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
@@ -258,7 +252,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     d = x.data
     # split on sign so exp never overflows
     e = np.exp(-np.abs(d))
@@ -272,7 +265,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out_data = np.tanh(x.data)
 
     def backward(g):
@@ -282,7 +274,6 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def absolute(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out_data = np.abs(x.data)
 
     def backward(g):
@@ -306,7 +297,6 @@ def _norm_axes(axis, ndim: int) -> tuple:
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
     axes = _norm_axes(axis, x.data.ndim)
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
 
@@ -321,7 +311,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     shape = tuple(shape)
     try:
         out_data = x.data.reshape(shape)
@@ -336,7 +325,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     """Reverse the axes; the gradient is reversed back."""
-    x = _as_tensor(x)
     out_data = np.transpose(x.data)
 
     def backward(g):
@@ -346,7 +334,7 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ContractError("concat of an empty sequence")
     _check_same_dtype(*ts)
@@ -379,7 +367,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a)
     _check_same_dtype(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(
@@ -399,7 +386,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    x = _as_tensor(x)
     axis = axis % x.data.ndim
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -414,7 +400,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 def l2_normalize(x: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
     """x / max(||x||_2, eps) along one axis."""
-    x = _as_tensor(x)
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
     axis = axis % x.data.ndim
@@ -476,7 +461,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
     slice additions: a transposed conv there would multiply by the
     zeros of a gradient dilated by the stride, stride**2 times the FLOPs.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     _check_same_dtype(x, w)
     if x.data.ndim != 3:
         raise DimensionError(f"conv2d input must be (C,H,W), got {x.shape}")
@@ -494,7 +478,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
     if stride < 1 or padding < 0:
         raise ContractError(f"bad stride/padding: {stride}/{padding}")
     if bias is not None:
-        bias = _as_tensor(bias)
         _check_same_dtype(x, bias)
         if bias.shape != (cout,):
             raise DimensionError(f"conv2d bias must be ({cout},), got {bias.shape}")
@@ -555,7 +538,6 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     Edge windows that fall off the map average only the cells that
     exist, so a constant input stays constant at every level.
     """
-    x = _as_tensor(x)
     if x.data.ndim != 3:
         raise DimensionError(f"avg_pool2x2 input must be (C,H,W), got {x.shape}")
     c, h, wd = x.shape
@@ -598,7 +580,6 @@ def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
     The offsets share one fractional part, so each slice gathers one
     (2r+2)^2 window from a zero-padded copy and blends it once.
     """
-    vol, centers = _as_tensor(vol), _as_tensor(centers)
     _check_same_dtype(vol, centers)
     if vol.data.ndim != 3:
         raise DimensionError(f"window_sample volume must be (N,H,W), got {vol.shape}")
@@ -620,9 +601,7 @@ def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
     steps = np.arange(k)[:, None]
     rows = np.arange(n) * hp + ys + steps                         # (k, N)
     lin = rows[:, None] * wp + (xs + steps)                       # (k, k, N)
-    padded = np.zeros((n, hp, wp), dtype=vol.data.dtype)
-    padded[:, k:k + h, k:k + w] = vol.data
-    win = padded.reshape(-1)[lin]
+    win = _pad(vol.data, k).reshape(-1)[lin]
     v00, v01 = win[:-1, :-1], win[:-1, 1:]
     v10, v11 = win[1:, :-1], win[1:, 1:]
     w00, w01 = (1.0 - fx) * (1.0 - fy), fx * (1.0 - fy)

@@ -6,8 +6,9 @@ tolerances are pinned locally instead of imported from the package;
 loosening a bound in the code must not silently loosen the gate.
 
 Two tests dominate the runtime: the gradient audit (about a minute)
-and the small-scale training run (several minutes). Both are part of
-the contract, so neither is skippable.
+and the small-scale training run (several minutes). Both carry the
+``slow`` marker, so ``pytest -m "not slow"`` gives a fast edit loop;
+both are part of the contract, and the tier-1 command still runs them.
 """
 
 import subprocess
@@ -15,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import graphflow.tensor as tt
 from graphflow.checks import run_gradient_suite
@@ -44,6 +46,7 @@ OVERFIT_RATIO = 0.10        # final loss versus first logged loss
 OVERFIT_EPE = 1.0           # train-set end-point error after overfitting
 
 
+@pytest.mark.slow
 def test_criterion_01_gradient_audit_under_two_minutes():
     t0 = time.perf_counter()
     rows = run_gradient_suite(include_model=True)
@@ -185,6 +188,7 @@ def test_criterion_04_engine_matches_loop_oracles_to_the_bit():
     assert f1_all(pred, fgt) == naive_f1_all(pred, gt, mask) == 100.0
 
 
+@pytest.mark.slow
 def test_criterion_05_small_scale_training_overfits(tmp_path):
     """2000 steps over 8 rendered pairs; takes several minutes."""
     manifest = gen_dataset(

@@ -283,6 +283,21 @@ class TestConfigPlumbing:
                      "--out", str(tmp_path / "run")]) == 2
 
 
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("kind,code", [("manifest", 3), ("config", 2),
+                                           ("spec", 2)])
+    def test_non_utf8_bytes_end_in_one_line(self, tmp_path, capsys, kind,
+                                            code):
+        bad = tmp_path / f"{kind}.txt"
+        bad.write_bytes(b"nodes = 4\n# caf\xe9\n")
+        argv = {"manifest": ["train", "--data", str(bad)],
+                "config": ["train", "--config", str(bad)],
+                "spec": ["gen", str(bad)]}[kind]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err and "UTF-8" in err
+
+
 class TestGradcheckCommand:
     """Exit-code wiring only; the real audit runs in its own suite."""
 

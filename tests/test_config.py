@@ -55,6 +55,7 @@ class TestValidate:
         ("lookup_radius", -1), ("graph", "dense"), ("precision", 16),
         ("steps", 0), ("peak_lr", 0.0), ("warmup_frac", 1.0),
         ("threads", 0), ("weight_decay", -0.1), ("seed", -1),
+        ("peak_lr", float("nan")), ("weight_decay", float("inf")),
     ])
     def test_each_bound_is_enforced(self, field, value):
         cfg = RunConfig()

@@ -25,11 +25,10 @@ def f64():
 class TestClosedForms:
     def test_small_conv_parameter_count(self):
         # 3x3 kernel, 2 in, 4 out: 4*(2*9) weights + 4 biases
-        rng = np.random.default_rng(0)
-        for bias, count in ((True, 76), (False, 72)):
-            params = {}
-            Conv2d(rng, 2, 4, 3, bias=bias).register(params, "conv")
-            assert sum(p.data.size for p in params.values()) == count
+        params = {}
+        Conv2d(np.random.default_rng(0), params, "conv", 2, 4, 3)
+        assert list(params) == ["conv.w", "conv.b"]
+        assert sum(p.data.size for p in params.values()) == 76
 
     def test_small_conv_flop_count(self):
         # same conv on an 8x8 map with padding 1: two flops per mac

@@ -1,9 +1,12 @@
 """Matching substrate: encoders, correlation, GRU loop, loss, accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import graphflow.tensor as tt
+from graphflow.checkpoint import save_checkpoint
 from graphflow.config import ModelConfig
 from graphflow.counting import conv_flops, count_flops, count_params
 from graphflow.data import FlowField
@@ -208,23 +211,22 @@ class TestLookup:
 class TestMotionEncoderAndGru:
     def test_motion_encoder_output_channels(self, f64):
         rng = np.random.default_rng(10)
-        enc = MotionEncoder(rng, corr_ch=36, cout=6)
+        enc = MotionEncoder(rng, {}, "mot", corr_ch=36, cout=6)
         out = enc(t64(np.random.default_rng(0).normal(size=(36, 4, 4))),
                   t64(np.zeros((2, 4, 4))))
         assert out.shape == (6, 4, 4)
 
     def test_zero_inputs_give_bias_driven_deterministic_output(self, f64):
         rng = np.random.default_rng(11)
-        enc = MotionEncoder(rng, corr_ch=36, cout=6)
+        enc = MotionEncoder(rng, {}, "mot", corr_ch=36, cout=6)
         a = enc(t64(np.zeros((36, 4, 4))), t64(np.zeros((2, 4, 4))))
         b = enc(t64(np.zeros((36, 4, 4))), t64(np.zeros((2, 4, 4))))
         assert np.array_equal(a.data, b.data)
 
     def test_motion_encoder_finite_difference_check(self, f64):
         rng = np.random.default_rng(12)
-        enc = MotionEncoder(rng, corr_ch=8, cout=4)
         params = {}
-        enc.register(params, "mot")
+        enc = MotionEncoder(rng, params, "mot", corr_ch=8, cout=4)
         corr = t64(rng.normal(size=(8, 3, 3)))
         flow = t64(rng.normal(size=(2, 3, 3)))
         wsum = t64(rng.normal(size=(4, 3, 3)))
@@ -233,7 +235,7 @@ class TestMotionEncoderAndGru:
 
     def test_gru_preserves_state_shape_and_bounds(self, f64):
         rng = np.random.default_rng(13)
-        gru = ConvGRU(rng, hidden=5, input_ch=8)
+        gru = ConvGRU(rng, {}, "gru", hidden=5, input_ch=8)
         h = gru.initial_state(t64(rng.normal(size=(5, 4, 4))))
         assert np.all(np.abs(h.data) <= 1.0)
         h2 = gru(h, t64(rng.normal(size=(8, 4, 4))))
@@ -241,7 +243,7 @@ class TestMotionEncoderAndGru:
 
     def test_saturated_update_gate_freezes_the_state(self, f64):
         rng = np.random.default_rng(14)
-        gru = ConvGRU(rng, hidden=5, input_ch=8)
+        gru = ConvGRU(rng, {}, "gru", hidden=5, input_ch=8)
         gru.convz.w.data = np.zeros_like(gru.convz.w.data)
         gru.convz.b.data = np.full_like(gru.convz.b.data, -60.0)
         h = gru.initial_state(t64(rng.normal(size=(5, 4, 4))))
@@ -383,9 +385,27 @@ class TestCheckpointRoundTrip:
             model.load_state(state)
 
 
+class TestRegistration:
+    """A fresh model's checkpoint bytes fix every parameter name, the
+    registration order and the RNG draw order at once."""
+
+    @pytest.mark.parametrize("mode,digest", [
+        ("base", "59b7b6e669dce080c795a83445e259f289cb51e6f4979cd51f529c4f6d51b518"),
+        ("sgr", "bb1df35bf96a0afbe190f25748bddf90eee1e938618c05d2fd3f06e018125578"),
+        ("agr", "983c8d00a438dc77f6782b59b833a1a93505a0b425ca2188611e0e207398ebaa"),
+    ])
+    def test_fresh_model_checkpoint_bytes_are_pinned(self, tmp_path, mode,
+                                                     digest):
+        cfg = ModelConfig(feature_channels=16, context_channels=16, nodes=8,
+                          refine_iters=3, graph=mode, seed=3)
+        path = tmp_path / "fresh.agfw"
+        save_checkpoint(path, FlowModel(cfg).state())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestCounting:
     def test_single_conv_closed_forms(self):
-        conv = Conv2d(np.random.default_rng(0), 2, 4, 3)
+        conv = Conv2d(np.random.default_rng(0), {}, "conv", 2, 4, 3)
         assert conv.w.data.size + conv.b.data.size == 76
         assert conv_flops(2, 4, 3, 8, 8) == 9216
 

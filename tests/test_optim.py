@@ -95,6 +95,17 @@ class TestAdamW:
         with pytest.raises(ContractError):
             opt.load_state_entries({"opt.m.p0": np.zeros(5, np.float32)})
 
+    @pytest.mark.parametrize("counter", [
+        np.asarray(3.0, np.float32), np.zeros(0, np.float32),
+        np.asarray([np.nan], np.float32), np.asarray([-5.0], np.float32),
+    ], ids=["rank0", "empty", "nan", "negative"])
+    def test_malformed_step_counter_is_rejected(self, f64, counter):
+        opt = AdamW(quad_params([1.0]), lr=0.1)
+        entries = opt.state_entries()
+        entries["meta.adam_t"] = counter
+        with pytest.raises(ContractError, match="meta.adam_t"):
+            opt.load_state_entries(entries)
+
 
 class TestOneCycle:
     def test_warmup_rises_linearly_to_the_peak(self):
