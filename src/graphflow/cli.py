@@ -14,10 +14,13 @@ failures (non-finite loss, gradient audit above tolerance).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from pathlib import Path
+
+from .config import GRAPH_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int,
                         help="BLAS thread cap (default: the config's "
                              "threads, which is 1)")
-    shared.add_argument("--graph", choices=("base", "sgr", "agr"),
+    shared.add_argument("--graph", choices=GRAPH_MODES,
                         help="reasoning variant toggle")
     shared.add_argument("--precision", type=int, choices=(32, 64),
                         help="float width for model arithmetic")
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dest", nargs="?", metavar="OUTFILE",
                    help="output image (default: flow name under --out)")
     p.add_argument("--cap", type=float,
-                   help="saturation cap in pixels (default: field max)")
+                   help="saturation cap in pixels, > 0 (default: field max)")
     return parser
 
 
@@ -210,6 +213,9 @@ def _cmd_bench(args, cfg) -> int:
 
 def _cmd_viz(args, cfg) -> int:
     from .data import flow_to_color, read_flo, write_ppm
+    from .errors import ConfigError
+    if args.cap is not None and not 0 < args.cap < math.inf:
+        raise ConfigError(f"--cap must be a positive number, got {args.cap}")
     field = read_flo(args.flo)
     image = flow_to_color(field.flow, cap=args.cap)
     if args.dest:

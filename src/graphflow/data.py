@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError
 
 FLO_MAGIC = 202021.25
 # Middlebury convention for unknown flow; used to encode masked pixels
@@ -61,17 +61,17 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if self.height < 16 or self.width < 16:
-            raise ContractError(
+            raise ConfigError(
                 f"generated size must be at least 16x16, got "
                 f"{self.height}x{self.width}")
         if self.texture not in TEXTURES:
-            raise ContractError(f"texture must be one of {TEXTURES}")
+            raise ConfigError(f"texture must be one of {TEXTURES}")
         if self.motion not in MOTIONS:
-            raise ContractError(f"motion must be one of {MOTIONS}")
+            raise ConfigError(f"motion must be one of {MOTIONS}")
         if not (np.isfinite(self.mag_min) and np.isfinite(self.mag_max)):
-            raise ContractError("magnitude range must be finite")
+            raise ConfigError("magnitude range must be finite")
         if self.mag_min < 0 or self.mag_max < self.mag_min:
-            raise ContractError(
+            raise ConfigError(
                 f"need 0 <= mag_min <= mag_max, got {self.mag_min}/{self.mag_max}")
 
 
@@ -407,7 +407,7 @@ class DatasetSpec(SyntheticSpec):
 
     def validate(self) -> None:
         if self.pairs < 1:
-            raise ContractError(f"pairs must be positive, got {self.pairs}")
+            raise ConfigError(f"pairs must be positive, got {self.pairs}")
         super().validate()
 
 

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GRAPH_MODES
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import Conv2d, he_std, linear_pair, parameter
 from .tensor import (Tensor, add, concat, l2_normalize, matmul, mul, relu,
                      reshape, scale, sigmoid, softmax, transpose, tsum)
 
-MODES = ("base", "sgr", "agr")
 CA_REDUCTION = 4        # channel-attention bottleneck: C -> C // 4 -> C
 
 
@@ -56,9 +56,9 @@ def embed_nodes(f: Tensor, conv1: Conv2d, conv2: Conv2d) -> NodeSet:
     c, h, w = f.shape
     logits = conv2(relu(conv1(f)))                     # (K, h, w)
     k = logits.shape[0]
-    proj = softmax(transpose(reshape(logits, (k, h * w))), axis=1)   # (N, K)
+    proj = softmax(transpose(reshape(logits, (k, h * w))))   # (N, K)
     flat = reshape(f, (c, h * w))
-    nodes = l2_normalize(matmul(flat, proj), axis=0)
+    nodes = l2_normalize(matmul(flat, proj))
     return NodeSet(nodes=nodes, proj=proj, source_shape=(c, h, w))
 
 
@@ -97,7 +97,7 @@ def predict_adapter_kernel(ctx_nodes: Tensor, theta_w: Tensor,
     if theta_w.shape != (k, c):
         raise DimensionError(f"kernel head {theta_w.shape} must be ({k},{c})")
     logits = add(matmul(theta_w, ctx_nodes), reshape(theta_b, (k, 1)))
-    return softmax(logits, axis=1)
+    return softmax(logits)
 
 
 def graph_adapter(v: Tensor, kernel: Tensor, w1: Tensor, b1: Tensor) -> Tensor:
@@ -150,7 +150,7 @@ def attentive_fuse(fc: Tensor, fm: Tensor, ca_fc1: Conv2d, ca_fc2: Conv2d) -> Te
     gap = scale(tsum(fm, axis=(1, 2), keepdims=True), 1.0 / (h * w))  # (C, 1, 1)
     gate = sigmoid(ca_fc2(relu(ca_fc1(gap))))          # (C, 1, 1)
     scaled = mul(add(gate, Tensor(1.0, dtype=gate.dtype)), fc)
-    return concat([scaled, fm], axis=0)
+    return concat([scaled, fm])
 
 
 def analytic_param_count(channels: int, node_count: int, mode: str) -> int:
@@ -167,8 +167,7 @@ def analytic_param_count(channels: int, node_count: int, mode: str) -> int:
     if mode == "sgr":
         return sgr
     if mode == "agr":
-        adapter = (k * c + k) + (c * c + c)
-        return sgr + adapter
+        return sgr + adapter_param_count(c, k)
     raise ConfigError(f"unknown graph mode {mode!r}")
 
 
@@ -188,8 +187,8 @@ class GraphBlock:
     def __init__(self, channels: int, node_count: int, *, context_steps: int = 2,
                  motion_steps: int = 1, mode: str = "agr",
                  rng: np.random.Generator | None = None):
-        if mode not in MODES:
-            raise ConfigError(f"graph mode must be one of {MODES}, got {mode!r}")
+        if mode not in GRAPH_MODES:
+            raise ConfigError(f"graph mode must be one of {GRAPH_MODES}, got {mode!r}")
         if channels < 1 or node_count < 1:
             raise ConfigError(
                 f"channels and node count must be positive, got {channels}/{node_count}")
@@ -282,7 +281,7 @@ class GraphBlock:
             enhanced = reason(vs.nodes, build_adjacency(vs.nodes), self.gcn_w,
                               self.context_steps)
             fhat = readout(enhanced, vs.proj, vs.source_shape)
-            return concat([add(f_c, fhat), add(f_m, fhat)], axis=0)
+            return concat([add(f_c, fhat), add(f_m, fhat)])
 
         if cache is None:
             cache = self.context_stage(f_c)

@@ -44,8 +44,7 @@ class Conv2d:
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride,
-                      padding=self.w.shape[2] // 2)
+        return conv2d(x, self.w, self.b, stride=self.stride)
 
 
 def linear_pair(rng: np.random.Generator, params: dict, name: str,

@@ -84,7 +84,7 @@ class MotionEncoder:
     def __call__(self, corr_feats, flow):
         a = relu(self.corr2(relu(self.corr1(corr_feats))))
         b = relu(self.flow1(flow))
-        return self.fuse(concat([a, b], axis=0))
+        return self.fuse(concat([a, b]))
 
 
 class ConvGRU:
@@ -105,10 +105,10 @@ class ConvGRU:
         return tanh(self.init_conv(context))
 
     def __call__(self, hidden, x):
-        hx = concat([hidden, x], axis=0)
+        hx = concat([hidden, x])
         z = sigmoid(self.convz(hx))
         r = sigmoid(self.convr(hx))
-        q = tanh(self.convq(concat([mul(r, hidden), x], axis=0)))
+        q = tanh(self.convq(concat([mul(r, hidden), x])))
         one_minus_z = add(scale(z, -1.0), Tensor(1.0, dtype=z.dtype))
         return add(mul(one_minus_z, hidden), mul(z, q))
 
@@ -162,7 +162,7 @@ def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
     for lvl, vol in enumerate(pyr.levels):
         sampled = window_sample(vol, scale(centers, 1.0 / 2 ** lvl), radius)
         out.append(reshape(sampled, (s, h, w)))
-    return concat(out, axis=0)
+    return concat(out)
 
 
 def _interp_matrix(n: int, d: int) -> np.ndarray:
@@ -330,6 +330,3 @@ class FlowModel:
                     f"parameter {name!r}: checkpoint extents {arr.shape} "
                     f"do not match model extents {p.data.shape}")
             p.data = arr.astype(p.data.dtype)
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())

@@ -29,11 +29,13 @@ bug far more often than a feature.
 right and any unit extent stretches to match. The backward pass sums
 the gradient over every stretched axis, leading or trailing.
 
-``conv2d`` builds its im2col columns with one strided slice copy per
-kernel tap, and copies the map into a padded buffer only when the
-padding is nonzero. At stride 1 the tape keeps no columns: both
-gradients come from one im2col of the output gradient. Strided convs
-keep their columns and scatter the column gradient back tap by tap.
+``conv2d`` is same-padded with a bias: the map is padded by k // 2,
+so the output extents are ceil(H / stride) by ceil(W / stride). Its
+im2col columns take one strided slice copy per kernel tap. At stride 1
+the tape keeps no columns: the output gradient, padded by the same
+k // 2, goes through the same im2col, and both gradients come from it.
+Strided convs keep their columns and scatter the column gradient back
+tap by tap.
 
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
@@ -333,32 +335,25 @@ def transpose(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack along the leading axis; the other extents must agree."""
     ts = list(tensors)
     if not ts:
         raise ContractError("concat of an empty sequence")
     _check_same_dtype(*ts)
-    ndim = ts[0].data.ndim
-    axis = axis % ndim
     for t in ts[1:]:
-        if t.data.ndim != ndim:
-            raise DimensionError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
-        for a in range(ndim):
-            if a != axis and t.shape[a] != ts[0].shape[a]:
-                raise DimensionError(
-                    f"concat extent mismatch on axis {a}: {ts[0].shape} vs {t.shape}"
-                )
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
+        if t.shape[1:] != ts[0].shape[1:]:
+            raise DimensionError(
+                f"concat extents differ past the leading axis: "
+                f"{ts[0].shape} vs {t.shape}")
+    out_data = np.concatenate([t.data for t in ts])
 
     def backward(g):
         start = 0
-        for t, size in zip(ts, sizes):
+        for t in ts:
             if t.requires_grad:
-                idx = [slice(None)] * ndim
-                idx[axis] = slice(start, start + size)
-                t._accum(g[tuple(idx)])
-            start += size
+                t._accum(g[start:start + t.shape[0]])
+            start += t.shape[0]
 
     return Tensor._from_op(out_data, tuple(ts), backward)
 
@@ -385,31 +380,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    axis = axis % x.data.ndim
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
         x._accum(out_data * (g - dot))
 
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def l2_normalize(x: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
-    """x / max(||x||_2, eps) along one axis."""
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
-    axis = axis % x.data.ndim
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
+def l2_normalize(x: Tensor) -> Tensor:
+    """x / max(||x||_2, 1e-12) for each column."""
+    norm = np.sqrt((x.data * x.data).sum(axis=0, keepdims=True))
+    denom = np.maximum(norm, 1e-12)
     out_data = x.data / denom
 
     def backward(g):
-        dot = (g * x.data).sum(axis=axis, keepdims=True)
-        live = (norm > eps)
+        dot = (g * x.data).sum(axis=0, keepdims=True)
+        live = (norm > 1e-12)
         safe = np.where(live, norm, 1.0)
         x._accum(g / denom - np.where(live, x.data * dot / (safe * denom * denom), 0.0))
 
@@ -420,7 +412,10 @@ def l2_normalize(x: Tensor, axis: int = 0, eps: float = 1e-12) -> Tensor:
 
 
 def _pad(a: np.ndarray, p: int) -> np.ndarray:
-    """Copy of a (C, H, W) map inside a zeroed (C, H+2p, W+2p) buffer."""
+    """Copy of a (C, H, W) map inside a zeroed (C, H+2p, W+2p) buffer;
+    ``a`` itself when p is 0."""
+    if p == 0:
+        return a
     c, h, w = a.shape
     out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=a.dtype)
     out[:, p:p + h, p:p + w] = a
@@ -445,23 +440,22 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return cols.reshape(c * k * k, ho * wo)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of one (C_in, H, W) map with (C_out, C_in, k, k).
+def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
+    """Same-padded 2-D cross-correlation of one (C_in, H, W) map with
+    (C_out, C_in, k, k) weights, plus a (C_out,) bias.
 
-    Output extents use floor semantics: (H + 2p - k)//stride + 1. The
-    forward runs as im2col plus one GEMM; the map is copied into a
-    zeroed padded buffer only when padding > 0. At stride 1 the tape
-    keeps no columns: the output gradient, padded by k - 1 - p (cropped
-    when that is negative), goes through the same im2col, and its GEMMs
-    with the flipped kernel and with the input map give the input
-    gradient (a transposed conv) and the flipped weight gradient. At
-    stride > 1 the columns are kept for the weight gradient, and the
+    The map is padded by p = k // 2 on every side, so the output is
+    ceil(H / stride) by ceil(W / stride). The forward runs as im2col
+    plus one GEMM. At stride 1 the tape keeps no columns: the output
+    gradient, padded by the same p, goes through the same im2col, and
+    its GEMMs with the flipped kernel and with the input map give the
+    input gradient (a transposed conv) and the flipped weight gradient.
+    At stride > 1 the columns are kept for the weight gradient, and the
     input gradient re-scatters the column gradient with k*k strided
     slice additions: a transposed conv there would multiply by the
     zeros of a gradient dilated by the stride, stride**2 times the FLOPs.
     """
-    _check_same_dtype(x, w)
+    _check_same_dtype(x, w, b)
     if x.data.ndim != 3:
         raise DimensionError(f"conv2d input must be (C,H,W), got {x.shape}")
     if w.data.ndim != 4:
@@ -473,44 +467,29 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
         raise DimensionError(f"conv2d kernel extent must be odd, got {kh}")
     if cin != x.shape[0]:
         raise DimensionError(
-            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}"
-        )
-    if stride < 1 or padding < 0:
-        raise ContractError(f"bad stride/padding: {stride}/{padding}")
-    if bias is not None:
-        _check_same_dtype(x, bias)
-        if bias.shape != (cout,):
-            raise DimensionError(f"conv2d bias must be ({cout},), got {bias.shape}")
+            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
+    if stride < 1:
+        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
+    if b.shape != (cout,):
+        raise DimensionError(f"conv2d bias must be ({cout},), got {b.shape}")
 
     _, h, wd = x.shape
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise DimensionError(
-            f"conv2d output would be empty for input {x.shape}, "
-            f"kernel {kh}, stride {stride}, padding {padding}"
-        )
-
-    xp = _pad(x.data, padding) if padding else x.data
-    cols = _im2col(xp, kh, stride, ho, wo)
+    p = kh // 2
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    cols = _im2col(_pad(x.data, p), kh, stride, ho, wo)
     wm = w.data.reshape(cout, cin * kh * kw)
     out = wm @ cols
     if stride == 1:
         del cols                       # backward works from the gradient's im2col
-    if bias is not None:
-        out += bias.data[:, None]
+    out += b.data[:, None]
     out_data = out.reshape(cout, ho, wo)
-    parents = (x, w) if bias is None else (x, w, bias)
 
     def backward(g):
         gm = g.reshape(cout, ho * wo)
-        if bias is not None and bias.requires_grad:
-            bias._accum(gm.sum(axis=1))
+        if b.requires_grad:
+            b._accum(gm.sum(axis=1))
         if stride == 1:
-            q = kh - 1 - padding
-            gp = _pad(g, q) if q > 0 else g[:, -q:ho + q, -q:wo + q]
-            gcols = _im2col(gp, kh, 1, h, wd)
+            gcols = _im2col(_pad(g, p), kh, 1, h, wd)
             if w.requires_grad:
                 dw = (gcols @ x.data.reshape(cin, h * wd).T).reshape(cout, kh, kw, cin)
                 w._accum(dw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
@@ -522,14 +501,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, *,
             w._accum((gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
             dwin = (wm.T @ gm).reshape(cin, kh, kw, ho, wo)
-            dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
+            dxp = np.zeros((cin, h + 2 * p, wd + 2 * p), dtype=g.dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     dxp[:, ki:ki + stride * ho:stride,
                         kj:kj + stride * wo:stride] += dwin[:, ki, kj]
-            x._accum(dxp[:, padding:padding + h, padding:padding + wd])
+            x._accum(dxp[:, p:p + h, p:p + wd])
 
-    return Tensor._from_op(out_data, parents, backward)
+    return Tensor._from_op(out_data, (x, w, b), backward)
 
 
 def avg_pool2x2(x: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import EvalResult, epe, f1_all, read_flo, read_manifest, read_ppm
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .model import FlowModel, sequence_loss
 from .optim import AdamW, one_cycle_lr
 from .tensor import add, no_grad, precision, scale
@@ -41,6 +41,17 @@ def load_pairs(manifest_path: str | Path):
     return pairs
 
 
+def _rows_through(log_path: Path, step: int) -> str:
+    """The rows of an earlier log up to ``step``, without its header."""
+    if step == 0 or not log_path.is_file():
+        return ""
+    try:
+        rows = log_path.read_bytes().decode("utf-8").splitlines(keepends=True)[1:]
+        return "".join(r for r in rows if int(r.split("\t", 1)[0]) <= step)
+    except ValueError as exc:      # a step that does not parse, or non-UTF-8 bytes
+        raise FormatError(f"{log_path}: cannot resume this log: {exc}") from None
+
+
 def _write_checkpoint(path: Path, model: FlowModel, opt: AdamW) -> None:
     entries = model.state()
     entries.update(opt.state_entries())
@@ -57,6 +68,9 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
     non-finite parameter gradient under a finite loss, raises
     ``NumericError`` before the update touches the weights. Emits
     ``train.tsv`` plus periodic and final checkpoints under ``cfg.out``.
+    A resume keeps the rows of an existing ``train.tsv`` up to its
+    checkpoint's step and drops the rest, so the log ends as an
+    uninterrupted run's would.
     """
     cfg.validate()
     if not cfg.data:
@@ -85,12 +99,12 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
                     f"of {cfg.steps}")
 
         log_path = out_dir / "train.tsv"
-        append = start_step > 0 and log_path.is_file()
+        earlier = _rows_through(log_path, start_step)
         first_loss = last_loss = float("nan")
         rows = []
-        with open(log_path, "a" if append else "w") as log:
-            if not append:
-                log.write("step\tloss\tepe\n")
+        with open(log_path, "w") as log:
+            log.write("step\tloss\tepe\n" + earlier)
+            log.flush()                # the kept rows survive a crash in step one
             for step in range(start_step, cfg.steps):
                 lr = one_cycle_lr(step, cfg.steps, cfg.peak_lr,
                                   cfg.warmup_frac)

@@ -63,6 +63,14 @@ class TestGen:
         spec.write_text("sharpness = 3\n")
         assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("line", ["height = 8", "pairs = 0"])
+    def test_out_of_range_spec_value_is_a_config_error(self, tmp_path, capsys,
+                                                       line):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(line + "\n")
+        assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 @pytest.fixture
 def dataset(tmp_path):
@@ -129,6 +137,43 @@ class TestTrain:
                               if int(l.split("\t")[0]) > 2]
         assert (tmp_path / "full" / "model.agfw").read_bytes() == \
             (tmp_path / "second" / "model.agfw").read_bytes()
+
+    def test_resume_into_its_own_directory_rewrites_the_log(self, tmp_path,
+                                                            dataset):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("feature_channels = 8\ncontext_channels = 8\n"
+                       "nodes = 4\nrefine_iters = 2\nlookup_radius = 2\n"
+                       "steps = 6\nlog_interval = 1\ncheckpoint_interval = 3\n")
+        run = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--data", str(dataset),
+              "--out", str(run)])
+        uninterrupted = (run / "train.tsv").read_bytes()
+        resume_cfg = tmp_path / "resume.cfg"
+        resume_cfg.write_text(cfg.read_text()
+                              + f"resume = {run / 'step_000003.agfw'}\n")
+        code = main(["train", "--config", str(resume_cfg), "--data",
+                     str(dataset), "--out", str(run)])
+        assert code == 0
+        assert (run / "train.tsv").read_bytes() == uninterrupted
+
+    def test_resume_over_a_log_with_a_malformed_step_is_a_data_error(
+            self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_cfg(cfg)
+        run = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--data", str(dataset),
+              "--out", str(run)])
+        with open(run / "train.tsv", "a") as log:
+            log.write("two\t0.5\t0.5\n")
+        resume_cfg = tmp_path / "resume.cfg"
+        write_run_cfg(resume_cfg,
+                      extra=f"resume = {run / 'step_000002.agfw'}\n")
+        capsys.readouterr()
+        code = main(["train", "--config", str(resume_cfg), "--data",
+                     str(dataset), "--out", str(run)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_manifest_is_a_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -228,6 +273,19 @@ class TestViz:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "0", "-3"])
+    def test_cap_must_be_a_positive_number(self, tmp_path, capsys, cap):
+        from graphflow.data import FlowField, write_flo
+        flo = tmp_path / "f.flo"
+        write_flo(flo, FlowField(flow=np.ones((2, 4, 4), dtype=np.float32)))
+        dest = tmp_path / "f.ppm"
+        code = main(["viz", str(flo), str(dest), f"--cap={cap}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--cap" in err and err.count("\n") == 1
+        assert not dest.exists()
 
 
 class TestBench:

@@ -101,8 +101,8 @@ class TestFlopAccounting:
         at the call, adds up to count_flops exactly."""
         executed = []
 
-        def counted_conv2d(x, w, bias=None, **kw):
-            out = tt.conv2d(x, w, bias, **kw)
+        def counted_conv2d(x, w, b, **kw):
+            out = tt.conv2d(x, w, b, **kw)
             cout, cin, kk, _ = w.shape
             _, ho, wo = out.shape
             executed.append(conv_flops(cin, cout, kk, ho, wo))

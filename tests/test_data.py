@@ -9,7 +9,7 @@ from graphflow.data import (FlowField, SyntheticSpec, epe, f1_all,
                             flow_to_color, gen_pair, read_flo, read_manifest,
                             read_ppm, warp_backward, write_flo, write_manifest,
                             write_ppm)
-from graphflow.errors import ContractError, DimensionError, FormatError
+from graphflow.errors import ConfigError, ContractError, DimensionError, FormatError
 
 from oracles import naive_epe, naive_f1_all
 
@@ -77,11 +77,11 @@ class TestGenPair:
         assert gt.valid_mask().any()
 
     def test_unknown_family_names_are_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             gen_pair(spec(texture="plaid"))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             gen_pair(spec(motion="brownian"))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             gen_pair(spec(height=8))
 
 

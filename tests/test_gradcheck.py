@@ -68,9 +68,9 @@ class TestHarness:
         w2 = p64(rng.normal(size=(4, 3)) * 0.4)
 
         def fn():
-            h = relu(conv2d(x, w1, b1, stride=2, padding=1))
+            h = relu(conv2d(x, w1, b1, stride=2))
             flat = reshape(h, (3, 9))
-            att = softmax(matmul(w2, flat), axis=1)
+            att = softmax(matmul(w2, flat))
             return tsum(mul(att, att))
 
         rep = gradcheck(fn, {"x": x, "w1": w1, "b1": b1, "w2": w2})

@@ -412,7 +412,7 @@ class TestCounting:
     def test_component_sums_match_registry_total(self, f64):
         model = FlowModel(micro_cfg())
         counts = count_params(model)
-        assert counts["total"] == model.param_count()
+        assert counts["total"] == sum(p.data.size for p in model.params.values())
         assert set(counts) == {"feature_encoder", "context_encoder",
                                "motion_encoder", "graph", "update",
                                "flow_head", "total"}

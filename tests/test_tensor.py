@@ -115,7 +115,7 @@ class TestStructural:
 
     def test_concat_splits_gradient_by_extent(self):
         a, b = p64(np.ones((2, 3))), p64(np.ones((1, 3)))
-        out = concat([a, b], axis=0)
+        out = concat([a, b])
         assert out.shape == (3, 3)
         tsum(mul(out, c64(np.arange(9.0).reshape(3, 3)))).backward()
         assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
@@ -177,48 +177,48 @@ class TestConv2d:
         rng = np.random.default_rng(8)
         x = c64(rng.normal(size=(3, 5, 5)))
         w = c64(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.array_equal(conv2d(x, w).data, x.data)
+        assert np.array_equal(conv2d(x, w, c64(np.zeros(3))).data, x.data)
 
     def test_all_ones_kernel_on_one_hot_marks_neighborhood(self):
         x = np.zeros((1, 5, 5))
         x[0, 2, 2] = 1.0
-        out = conv2d(c64(x), c64(np.ones((1, 1, 3, 3))), padding=1)
+        out = conv2d(c64(x), c64(np.ones((1, 1, 3, 3))), c64(np.zeros(1)))
         expect = np.zeros((1, 5, 5))
         expect[0, 1:4, 1:4] = 1.0
         assert np.array_equal(out.data, expect)
 
     def test_floor_output_extents(self):
+        # same padding: floor((H + 2*(k//2) - k) / stride) + 1 = ceil(H / stride)
         x = c64(np.zeros((1, 7, 9)))
         w = c64(np.zeros((2, 1, 3, 3)))
-        assert conv2d(x, w, stride=2, padding=1).shape == (2, 4, 5)
+        assert conv2d(x, w, c64(np.zeros(2)), stride=2).shape == (2, 4, 5)
 
     def test_matches_loop_oracle_exactly_on_integer_grids(self):
         rng = np.random.default_rng(9)
-        x = rng.integers(-3, 4, size=(2, 8, 8)).astype(np.float64)
-        w3 = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
-        b = rng.integers(-3, 4, size=4).astype(np.float64)
-        w1 = rng.integers(-3, 4, size=(4, 2, 1, 1)).astype(np.float64)
-        for w in (w3, w1):
-            for stride, pad in itertools.product((1, 2), (0, 1, 2)):
-                out = conv2d(c64(x), c64(w), c64(b), stride=stride, padding=pad)
-                assert np.array_equal(
-                    out.data, naive_conv2d(x, w, b, stride=stride, padding=pad))
+        for hw in ((8, 8), (5, 7)):
+            x = rng.integers(-3, 4, size=(2, *hw)).astype(np.float64)
+            w3 = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
+            b = rng.integers(-3, 4, size=4).astype(np.float64)
+            w1 = rng.integers(-3, 4, size=(4, 2, 1, 1)).astype(np.float64)
+            for w, stride in itertools.product((w3, w1), (1, 2)):
+                out = conv2d(c64(x), c64(w), c64(b), stride=stride)
+                assert np.array_equal(out.data, naive_conv2d(
+                    x, w, b, stride=stride, padding=w.shape[2] // 2))
 
     def test_backward_matches_loop_adjoints_exactly(self):
-        # at stride 1 the input gradient pads the output gradient by
-        # k - 1 - padding: k = 3 covers 2, 1 and 0, k = 1 covers 0 and
-        # the crops of -1 and -2
+        # at stride 1 the input gradient pads the output gradient by the
+        # same k // 2 as the forward pads the input: 1 at k = 3, 0 at k = 1
         rng = np.random.default_rng(10)
-        for k, stride, pad in itertools.product((1, 3), (1, 2), (0, 1, 2)):
-            xd = rng.integers(-3, 4, size=(2, 8, 8)).astype(np.float64)
+        for hw, k, stride in itertools.product(((8, 8), (5, 7)), (1, 3), (1, 2)):
+            xd = rng.integers(-3, 4, size=(2, *hw)).astype(np.float64)
             wd = rng.integers(-3, 4, size=(4, 2, k, k)).astype(np.float64)
             bd = rng.integers(-3, 4, size=4).astype(np.float64)
             x, w, b = p64(xd), p64(wd), p64(bd)
-            out = conv2d(x, w, b, stride=stride, padding=pad)
+            out = conv2d(x, w, b, stride=stride)
             g = rng.integers(-3, 4, size=out.shape).astype(np.float64)
             tsum(mul(out, c64(g))).backward()
             dx, dw, db = naive_conv2d_backward(xd, wd, g, stride=stride,
-                                               padding=pad)
+                                               padding=k // 2)
             assert np.array_equal(x.grad, dx)
             assert np.array_equal(w.grad, dw)
             assert np.array_equal(b.grad, db)
@@ -230,74 +230,73 @@ class TestConv2d:
         b = p64(rng.normal(size=3))
         for stride in (2, 1):
             rep = gradcheck(
-                lambda: tsum(mul(conv2d(x, w, b, stride=stride, padding=1),
-                                 conv2d(x, w, b, stride=stride, padding=1))),
+                lambda: tsum(mul(conv2d(x, w, b, stride=stride),
+                                 conv2d(x, w, b, stride=stride))),
                 {"x": x, "w": w, "b": b})
             assert rep.max_rel_err < 1e-6
 
-    def test_even_kernel_and_empty_output_are_rejected(self):
+    def test_even_kernel_is_rejected(self):
         with pytest.raises(DimensionError):
-            conv2d(c64(np.zeros((1, 4, 4))), c64(np.zeros((1, 1, 2, 2))))
-        with pytest.raises(DimensionError):
-            conv2d(c64(np.zeros((1, 2, 2))), c64(np.zeros((1, 1, 5, 5))))
+            conv2d(c64(np.zeros((1, 4, 4))), c64(np.zeros((1, 1, 2, 2))),
+                   c64(np.zeros(1)))
 
 
 class TestSoftmax:
     def test_uniform_logits_give_uniform_mass(self):
-        out = softmax(c64(np.zeros((1, 4))), axis=1)
+        out = softmax(c64(np.zeros((1, 4))))
         assert np.array_equal(out.data, np.full((1, 4), 0.25))
 
     def test_large_offsets_do_not_move_the_distribution(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 5))
-        a = softmax(c64(x), axis=1).data
-        b = softmax(c64(x + 100.0), axis=1).data
+        a = softmax(c64(x)).data
+        b = softmax(c64(x + 100.0)).data
         assert np.allclose(a, b, atol=1e-13)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
-        out = softmax(c64(rng.normal(size=(6, 9)) * 10), axis=1)
+        out = softmax(c64(rng.normal(size=(6, 9)) * 10))
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(4, 6))
-        assert np.allclose(softmax(c64(x), axis=0).data,
-                           naive_softmax(x, 0), atol=1e-15)
+        assert np.allclose(softmax(c64(x)).data,
+                           naive_softmax(x, 1), atol=1e-15)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(16)
         x = p64(rng.normal(size=(3, 4)))
         w = c64(rng.normal(size=(3, 4)))
-        rep = gradcheck(lambda: tsum(mul(softmax(x, axis=1), w)), {"x": x})
+        rep = gradcheck(lambda: tsum(mul(softmax(x), w)), {"x": x})
         assert rep.max_rel_err < 1e-6
 
 
 class TestL2Normalize:
     def test_three_four_gives_point_six_point_eight(self):
-        out = l2_normalize(c64([3.0, 4.0]), axis=0)
+        out = l2_normalize(c64([3.0, 4.0]))
         assert np.allclose(out.data, [0.6, 0.8], atol=1e-15)
 
     def test_zero_vector_maps_to_zero_not_nan(self):
-        out = l2_normalize(c64(np.zeros(4)), axis=0)
+        out = l2_normalize(c64(np.zeros(4)))
         assert np.array_equal(out.data, np.zeros(4))
 
     def test_result_has_unit_norm_per_column(self):
         rng = np.random.default_rng(17)
-        out = l2_normalize(c64(rng.normal(size=(5, 7))), axis=0)
+        out = l2_normalize(c64(rng.normal(size=(5, 7))))
         assert np.allclose((out.data ** 2).sum(axis=0), 1.0, atol=1e-12)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(18)
         x = p64(rng.normal(size=(4, 3)) + 0.5)
         w = c64(rng.normal(size=(4, 3)))
-        rep = gradcheck(lambda: tsum(mul(l2_normalize(x, axis=0), w)), {"x": x})
+        rep = gradcheck(lambda: tsum(mul(l2_normalize(x), w)), {"x": x})
         assert rep.max_rel_err < 1e-6
 
     def test_gradient_vanishes_below_eps(self):
         x = p64(np.zeros(3))
-        tsum(l2_normalize(x, axis=0, eps=1e-12)).backward()
-        # clamped branch: out = x / eps, so the gradient is 1/eps per entry
+        tsum(l2_normalize(x)).backward()
+        # clamped branch: out = x / 1e-12, so the gradient is 1e12 per entry
         assert np.allclose(x.grad, 1e12)
 
 
@@ -411,9 +410,9 @@ class TestBackward:
         x = p64(rng.normal(size=(2, 5, 5)))
         w = p64(rng.normal(size=(3, 2, 3, 3)))
         w2 = p64(rng.normal(size=(4, 3, 3, 3)))
-        y = conv2d(x, w, padding=1)
+        y = conv2d(x, w, c64(np.zeros(3)))
         assert made[0]() is None
-        loss = tsum(conv2d(y, w2, stride=2, padding=1))
+        loss = tsum(conv2d(y, w2, c64(np.zeros(4)), stride=2))
         assert made[1]() is not None
         loss.backward()
         assert made[1]() is None
