@@ -3,6 +3,7 @@
 Layout: magic b"AGFW", then little-endian u32 format version and entry
 count, then per entry: u32 name length, UTF-8 name, u32 rank, u32
 extents, and the values as row-major little-endian IEEE-754 float32.
+Entry names are unique.
 Writing the same entries twice produces identical bytes, so trained
 results can be compared with a file hash. A finished sibling temp file
 replaces the target, so an interrupted write leaves the old one intact.
@@ -74,6 +75,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FormatError(
                 f"{path}: entry {i} name is not UTF-8 at byte {pos}") from None
+        if name in out:
+            raise FormatError(
+                f"{path}: entry {i} repeats the name {name!r} at byte {pos}")
         pos += name_len
         if pos + 4 > len(blob):
             raise FormatError(f"{path}: entry {name!r} rank truncated at byte {pos}")

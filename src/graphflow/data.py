@@ -265,10 +265,17 @@ def read_ppm(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: malformed header at byte {start}")
         fields.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
+    labels = ("width of the extents", "height of the extents", "maxval")
+    for label, f in zip(labels, fields):
+        # bytes.isdigit is ASCII-only; int() alone would take "+2" or "1_0"
+        if not f.isdigit():
+            raise FormatError(f"{path}: header field {f!r} ({label}) is not "
+                              f"plain decimal digits")
     try:
         w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric header fields {fields}") from None
+    except ValueError:             # more digits than int() converts
+        raise FormatError(f"{path}: header field of {max(map(len, fields))} "
+                          f"digits is too long") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
     if w <= 0 or h <= 0:

@@ -13,6 +13,7 @@ keeps finite-difference checks of the whole network honest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,16 +154,27 @@ def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
     if flow.shape != (2, h, w):
         raise DimensionError(f"flow {flow.shape} does not match grid {(2, h, w)}")
     s = (2 * radius + 1) ** 2
-    dtype = flow.dtype
-    ys, xs = np.meshgrid(np.arange(h, dtype=dtype), np.arange(w, dtype=dtype),
-                         indexing="ij")
-    grid = Tensor(np.stack([xs.reshape(-1), ys.reshape(-1)]), dtype=dtype)
+    grid = Tensor(_pixel_grid(h, w, flow.dtype), dtype=flow.dtype)
     centers = add(grid, reshape(flow, (2, n)))
     out = []
     for lvl, vol in enumerate(pyr.levels):
         sampled = window_sample(vol, scale(centers, 1.0 / 2 ** lvl), radius)
         out.append(reshape(sampled, (s, h, w)))
     return concat(out)
+
+
+# The constants below are built once per shape and dtype and shared
+# read-only by every call.
+
+
+@functools.lru_cache(maxsize=64)
+def _pixel_grid(h: int, w: int, dtype: np.dtype) -> np.ndarray:
+    """(2, h*w) pixel coordinates, x then y, row-major over the grid."""
+    ys, xs = np.meshgrid(np.arange(h, dtype=dtype), np.arange(w, dtype=dtype),
+                         indexing="ij")
+    grid = np.stack([xs.reshape(-1), ys.reshape(-1)])
+    grid.setflags(write=False)
+    return grid
 
 
 def _interp_matrix(n: int, d: int) -> np.ndarray:
@@ -181,6 +193,17 @@ def _interp_matrix(n: int, d: int) -> np.ndarray:
     return r
 
 
+@functools.lru_cache(maxsize=64)
+def _upsample_matrices(h: int, w: int, d: int,
+                       dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """kron(I_2, R_h) and d * R_w^T, built in float64, then cast."""
+    rows = np.asarray(np.kron(np.eye(2), _interp_matrix(h, d)), dtype=dtype)
+    cols = np.asarray(d * _interp_matrix(w, d).T, dtype=dtype)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def upsample_flow(flow: Tensor, d: int) -> Tensor:
     """Bilinear upsample by d with displacement values scaled by d.
 
@@ -192,9 +215,8 @@ def upsample_flow(flow: Tensor, d: int) -> Tensor:
     if flow.data.ndim != 3 or flow.shape[0] != 2:
         raise DimensionError(f"flow must be (2,h,w), got {flow.shape}")
     _, h, w = flow.shape
-    dtype = flow.dtype
-    rows = Tensor(np.kron(np.eye(2), _interp_matrix(h, d)), dtype=dtype)
-    cols = Tensor(d * _interp_matrix(w, d).T, dtype=dtype)
+    rows, cols = (Tensor(m, dtype=flow.dtype)
+                  for m in _upsample_matrices(h, w, d, flow.dtype))
     up = matmul(rows, matmul(reshape(flow, (2 * h, w)), cols))
     return reshape(up, (2, h * d, w * d))
 

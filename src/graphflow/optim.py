@@ -1,4 +1,15 @@
-"""AdamW with decoupled weight decay and a one-cycle learning rate."""
+"""AdamW with decoupled weight decay and a one-cycle learning rate.
+
+The optimizer owns its parameters' storage. At construction every
+parameter's values move into one flat buffer, and each ``p.data``
+becomes a view into it; the first and second moments are flat buffers
+of the same layout. A step reads each gradient once into C-ordered
+scratch and runs the update over spans of consecutive parameters, so
+the ufunc sequence is the per-parameter one, element for element, and
+the results are bitwise equal to it. A ``p.data`` rebound from outside
+(``FlowModel.load_state`` does this) is copied back into the buffer at
+the next step.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +18,18 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
+# Consecutive parameters are updated together in spans of at most this
+# many elements (a larger parameter is a span of its own), so the
+# update's passes stay in cache and its scratch stays small.
+GROUP_ELEMENTS = 1 << 16
+
 
 class AdamW:
     """Standard Adam moments plus weight decay applied directly to weights.
 
-    Moment buffers are keyed by parameter name so they can be embedded
-    in checkpoints and restored bit-exactly for resumed runs.
+    ``m`` and ``v`` map each parameter name to its view of the moment
+    buffers, so they can be embedded in checkpoints and restored
+    bit-exactly for resumed runs.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 4e-4,
@@ -20,40 +37,105 @@ class AdamW:
                  weight_decay: float = 0.0):
         if not params:
             raise ContractError("optimizer needs at least one parameter")
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) != 1:
+            raise ContractError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        total = sum(p.data.size for p in self.params.values())
+        self._flat = np.empty(total, dtype=dtypes.pop())
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        # slots: (parameter, its view of the flat buffer, offset)
+        self._groups: list[list[tuple[Tensor, np.ndarray, int]]] = [[]]
+        group_size = 0
+        off = 0
+        for name, p in self.params.items():
+            size, shape = p.data.size, p.data.shape
+            view = self._flat[off:off + size].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            self.m[name] = self._m[off:off + size].reshape(shape)
+            self.v[name] = self._v[off:off + size].reshape(shape)
+            if group_size and group_size + size > GROUP_ELEMENTS:
+                self._groups.append([])
+                group_size = 0
+            self._groups[-1].append((p, view, off))
+            group_size += size
+            off += size
+        self._span = max(sum(view.size for _, view, _ in group)
+                         for group in self._groups)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
+        """One update of every parameter that holds a gradient."""
         if lr is not None:
             self.lr = lr
         self.t += 1
+        # allocated per step, after backward has freed the tape, so the
+        # scratch never adds to peak memory
+        scratch = np.empty((2, self._span), dtype=self._flat.dtype)
+        for group in self._groups:
+            run: list[tuple[Tensor, np.ndarray, int]] = []
+            for slot in group:
+                p, view, _ = slot
+                if p.data is not view:
+                    self._adopt(p, view)
+                if p.grad is None:
+                    self._update(run, scratch)
+                    run = []
+                else:
+                    run.append(slot)
+            self._update(run, scratch)
+
+    @staticmethod
+    def _adopt(p: Tensor, view: np.ndarray) -> None:
+        """Copy values rebound onto ``p.data`` back into the flat buffer."""
+        if p.data.shape != view.shape:
+            raise ContractError(
+                f"parameter rebound to extents {p.data.shape}, "
+                f"the optimizer holds {view.shape}")
+        view[...] = p.data
+        p.data = view
+
+    def _update(self, run: list, scratch: np.ndarray) -> None:
+        """AdamW over the span of consecutive parameters in ``run``."""
+        if not run:
+            return
+        lo = run[0][2]
+        hi = run[-1][2] + run[-1][1].size
+        g, t = scratch[0, :hi - lo], scratch[1, :hi - lo]
+        for p, view, off in run:
+            np.copyto(g[off - lo:off - lo + view.size].reshape(view.shape), p.grad)
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+        m, v, w = self._m[lo:hi], self._v[lo:hi], self._flat[lo:hi]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=t)
+        m += t
+        v *= b2
+        np.multiply(g, g, out=g)
+        g *= 1.0 - b2
+        v += g
+        # update = (m / bias1) / (sqrt(v / bias2) + eps), built in g
+        np.divide(v, 1.0 - b2 ** self.t, out=t)
+        np.sqrt(t, out=t)
+        t += self.eps
+        np.divide(m, 1.0 - b1 ** self.t, out=g)
+        g /= t
+        if self.weight_decay:
+            np.multiply(w, self.weight_decay, out=t)
+            g += t
+        g *= self.lr
+        w -= g
 
     # -- checkpoint embedding ------------------------------------------------
 
@@ -75,7 +157,7 @@ class AdamW:
                     raise ContractError(
                         f"optimizer entry {key!r} extents {arr.shape} do not "
                         f"match parameter {p.data.shape}")
-                buf[name] = arr.astype(p.data.dtype)
+                buf[name][...] = arr
         if "meta.adam_t" not in entries:
             raise ContractError("checkpoint lacks the optimizer step counter")
         t = np.asarray(entries["meta.adam_t"])

@@ -39,7 +39,9 @@ tap by tap.
 
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
-level, then blends it once with that pixel's four bilinear weights.
+level. It blends the window separably, as a lerp along x and then one
+along y, and drops the intermediate; its backward is the adjoint of
+the two lerps and recomputes the x-lerp for the centre gradient.
 """
 
 from __future__ import annotations
@@ -556,8 +558,11 @@ def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
 
     Slice n is read at centers[:, n] + (dx, dy) for the S = (2r+1)^2
     integer offsets in [-r, r], dy outer; outside the map reads zero.
-    The offsets share one fractional part, so each slice gathers one
-    (2r+2)^2 window from a zero-padded copy and blends it once.
+    The offsets share one fractional part (fx, fy), so each slice
+    gathers one (2r+2)^2 window from a zero-padded copy and blends it
+    separably: a lerp by fx along x, then a lerp by fy along y. The
+    backward runs the adjoint of the two lerps, and recomputes the
+    x-lerp from the window for the centre gradient.
     """
     _check_same_dtype(vol, centers)
     if vol.data.ndim != 3:
@@ -577,33 +582,47 @@ def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
     # is clamped into the padding, so it still reads zeros only
     xs = np.clip(x0.astype(np.int64) - radius, -k, w) + k
     ys = np.clip(y0.astype(np.int64) - radius, -k, h) + k
-    steps = np.arange(k)[:, None]
-    rows = np.arange(n) * hp + ys + steps                         # (k, N)
-    lin = rows[:, None] * wp + (xs + steps)                       # (k, k, N)
+    steps = np.arange(k)
+    lin = ((steps[:, None] * wp + steps)[:, :, None]             # (k, k, N)
+           + ((np.arange(n) * hp + ys) * wp + xs))
     win = _pad(vol.data, k).reshape(-1)[lin]
-    v00, v01 = win[:-1, :-1], win[:-1, 1:]
-    v10, v11 = win[1:, :-1], win[1:, 1:]
-    w00, w01 = (1.0 - fx) * (1.0 - fy), fx * (1.0 - fy)
-    w10, w11 = (1.0 - fx) * fy, fx * fy
-    out_data = (w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11).reshape(-1, n)
+    tx = win[:, 1:] - win[:, :-1]
+    tx *= fx
+    tx += win[:, :-1]                  # lerp along x: (k, k-1, N)
+    out = tx[1:] - tx[:-1]
+    out *= fy
+    out += tx[:-1]                     # lerp along y: (k-1, k-1, N)
+    out_data = out.reshape(-1, n)
 
     def backward(g):
         g = g.reshape(k - 1, k - 1, n)
         if vol.requires_grad:
-            gwin = np.zeros_like(win)
-            gwin[:-1, :-1] += g * w00
-            gwin[:-1, 1:] += g * w01
-            gwin[1:, :-1] += g * w10
-            gwin[1:, 1:] += g * w11
+            # adjoint of each lerp a + f (b - a): a gets g - f g, b gets f g
+            gf = g * fy
+            gtx = np.empty((k, k - 1, n), dtype=g.dtype)
+            np.subtract(g, gf, out=gtx[:-1])
+            gtx[-1] = gf[-1]
+            gtx[1:-1] += gf[:-1]
+            gf = gtx * fx
+            gwin = np.empty_like(win)
+            np.subtract(gtx, gf, out=gwin[:, :-1])
+            gwin[:, -1] = gf[:, -1]
+            gwin[:, 1:-1] += gf[:, :-1]
             # one window per slice, so the indexed write never collides
             gpad = np.zeros(n * hp * wp, dtype=vol.data.dtype)
             gpad[lin] = gwin
             vol._accum(gpad.reshape(n, hp, wp)[:, k:k + h, k:k + w])
         if centers.requires_grad:
-            dout_dx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
-            dout_dy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-            gc = np.stack([(g * dout_dx).reshape(-1, n).sum(axis=0),
-                           (g * dout_dy).reshape(-1, n).sum(axis=0)])
+            ddx = win[:, 1:] - win[:, :-1]
+            tx = ddx * fx
+            tx += win[:, :-1]
+            # d out / d fx is the y-lerp of ddx; d out / d fy is the
+            # difference of the x-lerps
+            dfx = ddx[1:] - ddx[:-1]
+            dfx *= fy
+            dfx += ddx[:-1]
+            gc = np.stack([np.einsum("ijn,ijn->n", g, dfx),
+                           np.einsum("ijn,ijn->n", g, tx[1:] - tx[:-1])])
             centers._accum(gc.astype(centers.data.dtype, copy=False))
 
     return Tensor._from_op(out_data, (vol, centers), backward)

@@ -1,5 +1,6 @@
 """Synthetic pairs, .flo and PPM containers, metrics, manifests."""
 
+import re
 import struct
 
 import numpy as np
@@ -182,6 +183,26 @@ class TestPpmContainer:
         path = tmp_path / "f.ppm"
         path.write_bytes(b"P6\n" + extents + b"\n255\n" + b"\x00" * 12)
         with pytest.raises(FormatError, match="extents"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("header,field", [
+        (b"+2 1_0\n255", "+2"), (b"2 1_0\n255", "1_0"), (b"2 1\n+255", "+255"),
+        (b"2 \xd9\xa3\n255", "\\xd9\\xa3"), (b"0x2 1\n255", "0x2"),
+    ], ids=["sign", "underscore", "signed-maxval", "arabic-digit", "hex"])
+    def test_header_fields_must_be_plain_decimal_digits(self, tmp_path,
+                                                        header, field):
+        path = tmp_path / "h.ppm"
+        # enough pixels for any extents the fields could be read as
+        path.write_bytes(b"P6\n" + header + b"\n" + b"\x00" * 60)
+        with pytest.raises(FormatError, match="plain decimal digits"):
+            read_ppm(path)
+        with pytest.raises(FormatError, match=re.escape(field)):
+            read_ppm(path)
+
+    def test_a_field_beyond_the_integer_digit_limit_is_rejected(self, tmp_path):
+        path = tmp_path / "i.ppm"
+        path.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n")
+        with pytest.raises(FormatError, match="5000 digits"):
             read_ppm(path)
 
 

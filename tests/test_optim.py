@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphflow.optim as optim
 import graphflow.tensor as tt
 from graphflow.checkpoint import load_checkpoint, save_checkpoint
 from graphflow.errors import ContractError, FormatError
@@ -105,6 +106,143 @@ class TestAdamW:
         entries["meta.adam_t"] = counter
         with pytest.raises(ContractError, match="meta.adam_t"):
             opt.load_state_entries(entries)
+
+
+class ReferenceAdamW:
+    """The per-parameter update, one parameter and temporary at a time."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params = params
+        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data = p.data - self.lr * update
+
+
+# conv-weight shapes, a vector, a gate scalar, and one weight larger
+# than the patched group size below
+FLAT_SHAPES = [(6, 5, 3, 3), (6,), (), (40, 9, 3, 3), (4, 6, 1, 1), (7,)]
+
+
+def shaped_params(shapes, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return {f"p{i}": Tensor(rng.normal(size=s).astype(dtype),
+                            requires_grad=True, dtype=dtype)
+            for i, s in enumerate(shapes)}
+
+
+def step_gradients(shapes, dtype, step):
+    """Gradients for one step; rank-4 ones arrive transposed, as a stride-1
+    conv hands them over, and p4 has none on odd steps."""
+    rng = np.random.default_rng(100 + step)
+    grads = {}
+    for i, s in enumerate(shapes):
+        if i == 4 and step % 2:
+            grads[f"p{i}"] = None
+        elif len(s) == 4:
+            o, c, k, _ = s
+            grads[f"p{i}"] = (rng.normal(size=(o, k, k, c)).astype(dtype)
+                              .transpose(0, 3, 1, 2))
+        else:
+            grads[f"p{i}"] = rng.normal(size=s).astype(dtype)
+    return grads
+
+
+class TestFlatAdamW:
+    @pytest.fixture(autouse=True)
+    def small_groups(self, monkeypatch):
+        # several groups, one parameter alone in an oversized group
+        monkeypatch.setattr(optim, "GROUP_ELEMENTS", 600)
+
+    @staticmethod
+    def run_steps(opt, params, steps):
+        for step in steps:
+            for name, g in step_gradients(FLAT_SHAPES, params["p0"].dtype,
+                                          step).items():
+                params[name].grad = g
+            opt.step()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_five_steps_match_the_per_parameter_update_bitwise(self, dtype):
+        ref_params = shaped_params(FLAT_SHAPES, dtype)
+        flat_params = shaped_params(FLAT_SHAPES, dtype)
+        ref = ReferenceAdamW(ref_params, lr=3e-3, weight_decay=1e-2)
+        opt = AdamW(flat_params, lr=3e-3, weight_decay=1e-2)
+        assert len(opt._groups) > 2
+        self.run_steps(ref, ref_params, range(5))
+        self.run_steps(opt, flat_params, range(5))
+        assert opt.t == ref.t == 5
+        for name in ref_params:
+            assert flat_params[name].data.dtype == dtype
+            assert np.array_equal(flat_params[name].data, ref_params[name].data)
+            assert np.array_equal(opt.m[name], ref.m[name])
+            assert np.array_equal(opt.v[name], ref.v[name])
+
+    def test_parameters_are_views_of_the_optimizer_buffer(self):
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        before = {n: p.data.copy() for n, p in params.items()}
+        opt = AdamW(params, lr=1e-3)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt._flat)
+            assert p.data.flags.c_contiguous
+            assert np.array_equal(p.data, before[name])
+
+    def test_checkpoint_resume_mid_run_stays_bitwise(self, tmp_path):
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        opt = AdamW(params, lr=3e-3, weight_decay=1e-2)
+        self.run_steps(opt, params, range(2))
+        path = tmp_path / "mid.agfw"
+        entries = {n: p.data.copy() for n, p in params.items()}
+        entries.update(opt.state_entries())
+        save_checkpoint(path, entries)
+        self.run_steps(opt, params, range(2, 5))
+
+        resumed = shaped_params(FLAT_SHAPES, np.float32, seed=9)
+        ropt = AdamW(resumed, lr=3e-3, weight_decay=1e-2)
+        back = load_checkpoint(path)
+        for name, p in resumed.items():
+            p.data = back[name].copy()          # as FlowModel.load_state does
+        ropt.load_state_entries(back)
+        self.run_steps(ropt, resumed, range(2, 5))
+        for name in params:
+            assert np.array_equal(resumed[name].data, params[name].data)
+            assert np.array_equal(ropt.m[name], opt.m[name])
+            assert np.array_equal(ropt.v[name], opt.v[name])
+            assert np.shares_memory(resumed[name].data, ropt._flat)
+
+    def test_rebinding_to_other_extents_is_rejected(self):
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        opt = AdamW(params, lr=1e-3)
+        params["p1"].data = np.zeros(5, np.float32)
+        with pytest.raises(ContractError, match="extents"):
+            opt.step()
+
+    def test_mixed_dtypes_are_rejected(self):
+        params = {"a": Tensor(np.zeros(2), dtype=np.float32),
+                  "b": Tensor(np.zeros(2), dtype=np.float64)}
+        with pytest.raises(ContractError, match="dtypes"):
+            AdamW(params)
 
 
 class TestOneCycle:
@@ -225,6 +363,20 @@ class TestCheckpointContainer:
         path = tmp_path / "k.agfw"
         path.write_bytes(good.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_duplicate_entry_names_are_rejected(self, tmp_path):
+        good = tmp_path / "n.agfw"
+        save_checkpoint(good, {"a.w": np.zeros(2, np.float32),
+                               "b.w": np.ones(2, np.float32)})
+        blob = bytearray(good.read_bytes())
+        # header 12 + entry 0: name length 4, "a.w" 3, rank 4, extent 4,
+        # values 8; entry 1's name starts at byte 39
+        assert blob[39:42] == b"b.w"
+        blob[39] = ord("a")                  # one byte: "b.w" -> "a.w"
+        path = tmp_path / "o.agfw"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"'a\.w' at byte 39"):
             load_checkpoint(path)
 
     def test_insertion_order_is_preserved(self, tmp_path):
