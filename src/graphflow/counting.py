@@ -56,22 +56,31 @@ def _encoder_flops(cout: int, h: int, w: int) -> int:
     return total
 
 
-def _graph_flops(cfg: ModelConfig, n: int) -> int:
-    """One fusion call plus, for separate-graph modes, the per-pair
-    context stage amortized over refinement iterations is reported
-    separately by the caller."""
-    c, k = cfg.context_channels, cfg.nodes
+def _reasoning_flops(c: int, k: int, n: int, steps: int) -> int:
+    """Node embedding of ``n`` pixels onto ``k`` nodes of ``c`` channels,
+    ``steps`` GCN passes over them, and the readout back to pixels."""
     mid = max(c // 2, 1)
     embed = (conv_flops(c, mid, 1, 1, n) + conv_flops(mid, k, 1, 1, n)
              + matmul_flops(c, n, k))
-    adjacency = matmul_flops(k, c, k)
     gcn = matmul_flops(k, k, c) + matmul_flops(k, c, c)
-    readout_cost = matmul_flops(c, k, n)
+    return embed + steps * gcn + matmul_flops(c, k, n)
+
+
+def _graph_flops(cfg: ModelConfig, n: int) -> int:
+    """One fusion call, made once per refinement iteration.
+
+    In base mode that is the whole shared graph, adjacency included. In
+    sgr and agr it is the motion graph plus channel attention, with the
+    motion adjacency (sgr) or the adapter (agr); their context graph is
+    built once per pair and counted by ``_context_stage_flops``.
+    """
+    c, k = cfg.context_channels, cfg.nodes
+    adjacency = matmul_flops(k, c, k)
     if cfg.graph == "base":
-        return embed + adjacency + cfg.context_iters * gcn + readout_cost
+        return _reasoning_flops(c, k, n, cfg.context_iters) + adjacency
     mid_r = max(c // CA_REDUCTION, 1)
     ca = conv_flops(c, mid_r, 1, 1, 1) + conv_flops(mid_r, c, 1, 1, 1)
-    motion_side = embed + cfg.motion_iters * gcn + readout_cost + ca
+    motion_side = _reasoning_flops(c, k, n, cfg.motion_iters) + ca
     if cfg.graph == "sgr":
         return motion_side + adjacency
     adapter = (matmul_flops(c, c, k)          # first layer on motion nodes
@@ -81,15 +90,13 @@ def _graph_flops(cfg: ModelConfig, n: int) -> int:
 
 
 def _context_stage_flops(cfg: ModelConfig, n: int) -> int:
+    """The once-per-pair context graph of sgr and agr, with agr's
+    kernel prediction."""
     if cfg.graph == "base":
         return 0
     c, k = cfg.context_channels, cfg.nodes
-    mid = max(c // 2, 1)
-    embed = (conv_flops(c, mid, 1, 1, n) + conv_flops(mid, k, 1, 1, n)
-             + matmul_flops(c, n, k))
-    gcn = matmul_flops(k, k, c) + matmul_flops(k, c, c)
-    total = embed + matmul_flops(k, c, k) + cfg.context_iters * gcn
-    total += matmul_flops(c, k, n)                    # readout
+    total = (_reasoning_flops(c, k, n, cfg.context_iters)
+             + matmul_flops(k, c, k))                 # adjacency
     if cfg.graph == "agr":
         total += matmul_flops(k, c, k)                # kernel prediction
     return total

@@ -73,6 +73,8 @@ class SyntheticSpec:
         if self.mag_min < 0 or self.mag_max < self.mag_min:
             raise ConfigError(
                 f"need 0 <= mag_min <= mag_max, got {self.mag_min}/{self.mag_max}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

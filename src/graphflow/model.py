@@ -334,10 +334,11 @@ class FlowModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, entries: dict[str, np.ndarray]) -> None:
-        """Install weights; auxiliary 'opt.' / 'meta.' entries are ignored.
+        """Write weights in place; 'opt.' / 'meta.' entries are ignored.
 
-        Unknown parameter names or mismatched extents indicate a
-        checkpoint written for a different configuration.
+        In place, so an optimizer that owns the storage keeps it. Unknown
+        parameter names or mismatched extents indicate a checkpoint
+        written for a different configuration.
         """
         for name in entries:
             if name not in self.params and not name.startswith(("opt.", "meta.")):
@@ -351,4 +352,4 @@ class FlowModel:
                 raise DimensionError(
                     f"parameter {name!r}: checkpoint extents {arr.shape} "
                     f"do not match model extents {p.data.shape}")
-            p.data = arr.astype(p.data.dtype)
+            p.data[...] = arr

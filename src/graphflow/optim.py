@@ -2,26 +2,30 @@
 
 The optimizer owns its parameters' storage. At construction every
 parameter's values move into one flat buffer, and each ``p.data``
-becomes a view into it; the first and second moments are flat buffers
-of the same layout. A step reads each gradient once into C-ordered
-scratch and runs the update over spans of consecutive parameters, so
-the ufunc sequence is the per-parameter one, element for element, and
-the results are bitwise equal to it. A ``p.data`` rebound from outside
-(``FlowModel.load_state`` does this) is copied back into the buffer at
-the next step.
+becomes a view into it that later writes fill in place, as
+``FlowModel.load_state`` does; the moments are flat buffers of the same
+layout. A step first checks every parameter and raises before anything
+moves: ``ContractError`` for one rebound off its view, ``NumericError``
+for a non-finite gradient (the training loop's gradient check). It then
+reads each gradient once into C-ordered scratch and runs the update
+over spans of consecutive parameters, so the ufunc sequence is the
+per-parameter one, element for element, and bitwise equal to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .tensor import Tensor
 
 # Consecutive parameters are updated together in spans of at most this
 # many elements (a larger parameter is a span of its own), so the
 # update's passes stay in cache and its scratch stays small.
 GROUP_ELEMENTS = 1 << 16
+
+BETA1, BETA2 = 0.9, 0.999       # moment decay rates
+EPS = 1e-8                      # denominator floor
 
 
 class AdamW:
@@ -33,7 +37,6 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 4e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         if not params:
             raise ContractError("optimizer needs at least one parameter")
@@ -42,8 +45,6 @@ class AdamW:
             raise ContractError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         total = sum(p.data.size for p in self.params.values())
@@ -52,8 +53,8 @@ class AdamW:
         self._v = np.zeros_like(self._flat)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # slots: (parameter, its view of the flat buffer, offset)
-        self._groups: list[list[tuple[Tensor, np.ndarray, int]]] = [[]]
+        # slots: (name, parameter, its view of the flat buffer, offset)
+        self._groups: list[list[tuple[str, Tensor, np.ndarray, int]]] = [[]]
         group_size = 0
         off = 0
         for name, p in self.params.items():
@@ -66,10 +67,10 @@ class AdamW:
             if group_size and group_size + size > GROUP_ELEMENTS:
                 self._groups.append([])
                 group_size = 0
-            self._groups[-1].append((p, view, off))
+            self._groups[-1].append((name, p, view, off))
             group_size += size
             off += size
-        self._span = max(sum(view.size for _, view, _ in group)
+        self._span = max(sum(view.size for _, _, view, _ in group)
                          for group in self._groups)
 
     def zero_grad(self) -> None:
@@ -78,6 +79,15 @@ class AdamW:
 
     def step(self, lr: float | None = None) -> None:
         """One update of every parameter that holds a gradient."""
+        for group in self._groups:
+            for name, p, view, _ in group:
+                if p.data is not view:
+                    raise ContractError(
+                        f"parameter {name} was rebound off the optimizer's "
+                        f"buffer; write into p.data in place instead")
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NumericError(f"gradient of {name} became "
+                                       f"non-finite at step {self.t}")
         if lr is not None:
             self.lr = lr
         self.t += 1
@@ -85,38 +95,25 @@ class AdamW:
         # scratch never adds to peak memory
         scratch = np.empty((2, self._span), dtype=self._flat.dtype)
         for group in self._groups:
-            run: list[tuple[Tensor, np.ndarray, int]] = []
+            run: list[tuple[str, Tensor, np.ndarray, int]] = []
             for slot in group:
-                p, view, _ = slot
-                if p.data is not view:
-                    self._adopt(p, view)
-                if p.grad is None:
+                if slot[1].grad is None:
                     self._update(run, scratch)
                     run = []
                 else:
                     run.append(slot)
             self._update(run, scratch)
 
-    @staticmethod
-    def _adopt(p: Tensor, view: np.ndarray) -> None:
-        """Copy values rebound onto ``p.data`` back into the flat buffer."""
-        if p.data.shape != view.shape:
-            raise ContractError(
-                f"parameter rebound to extents {p.data.shape}, "
-                f"the optimizer holds {view.shape}")
-        view[...] = p.data
-        p.data = view
-
     def _update(self, run: list, scratch: np.ndarray) -> None:
         """AdamW over the span of consecutive parameters in ``run``."""
         if not run:
             return
-        lo = run[0][2]
-        hi = run[-1][2] + run[-1][1].size
+        lo = run[0][3]
+        hi = run[-1][3] + run[-1][2].size
         g, t = scratch[0, :hi - lo], scratch[1, :hi - lo]
-        for p, view, off in run:
+        for _, p, view, off in run:
             np.copyto(g[off - lo:off - lo + view.size].reshape(view.shape), p.grad)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         m, v, w = self._m[lo:hi], self._v[lo:hi], self._flat[lo:hi]
         m *= b1
         np.multiply(g, 1.0 - b1, out=t)
@@ -128,7 +125,7 @@ class AdamW:
         # update = (m / bias1) / (sqrt(v / bias2) + eps), built in g
         np.divide(v, 1.0 - b2 ** self.t, out=t)
         np.sqrt(t, out=t)
-        t += self.eps
+        t += EPS
         np.divide(m, 1.0 - b1 ** self.t, out=g)
         g /= t
         if self.weight_decay:

@@ -84,14 +84,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
-    """Common shape of two operands under numpy broadcasting."""
-    try:
-        return np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise DimensionError(f"cannot broadcast shapes {sa} and {sb}") from None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to the original operand shape."""
     if g.shape == shape:
@@ -208,10 +200,18 @@ def _check_same_dtype(*ts: Tensor) -> None:
 # -- elementwise and structural ops ------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _elementwise(op, a: Tensor, b: Tensor) -> np.ndarray:
+    """``op`` over two operands of one dtype under numpy broadcasting."""
     _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data + b.data
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise DimensionError(
+            f"cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out_data = _elementwise(np.add, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -223,9 +223,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data * b.data
+    out_data = _elementwise(np.multiply, a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -286,30 +284,15 @@ def absolute(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def _norm_axes(axis, ndim: int) -> tuple:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    axes = tuple(a % ndim for a in axis)
-    if len(set(axes)) != len(axes):
-        raise ContractError(f"duplicate axes in {axis}")
-    for a in axes:
-        if not 0 <= a < ndim:
-            raise DimensionError(f"axis {a} out of range for rank {ndim}")
-    return axes
-
-
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, x.data.ndim)
+def tsum(x: Tensor, axis: tuple | None = None, keepdims: bool = False) -> Tensor:
+    """Sum over ``axis``, a tuple of non-negative axes, or over every axis."""
+    axes = tuple(range(x.data.ndim)) if axis is None else axis
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        gg = g
         if not keepdims:
-            for a in sorted(axes):
-                gg = np.expand_dims(gg, a)
-        x._accum(np.broadcast_to(gg, x.shape))
+            g = np.expand_dims(g, axes)
+        x._accum(np.broadcast_to(g, x.shape))
 
     return Tensor._from_op(out_data, (x,), backward)
 

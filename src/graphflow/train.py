@@ -64,10 +64,10 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
     Pairs are visited round-robin by step index, and no randomness is
     drawn inside the loop, so a run restarted from its own checkpoint
     continues bit-for-bit where it stopped. Checkpoints hold float32
-    only, so a 64-bit run cannot be resumed. A non-finite loss, or a
-    non-finite parameter gradient under a finite loss, raises
-    ``NumericError`` before the update touches the weights. Emits
-    ``train.tsv`` plus periodic and final checkpoints under ``cfg.out``.
+    only, so a 64-bit run cannot be resumed. A non-finite loss raises
+    ``NumericError`` here, and ``AdamW.step`` raises it for a non-finite
+    gradient before the update touches the weights. Emits ``train.tsv``
+    plus periodic and final checkpoints under ``cfg.out``.
     A resume keeps the rows of an existing ``train.tsv`` up to its
     checkpoint's step and drops the rest, so the log ends as an
     uninterrupted run's would.
@@ -128,10 +128,6 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
                     first_loss = value
                 last_loss = value
                 total.backward()
-                for name, p in model.params.items():
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise NumericError(f"gradient of {name} became "
-                                           f"non-finite at step {step}")
                 opt.step(lr=lr)
                 done = step + 1
                 if done % cfg.log_interval == 0 or done == cfg.steps:

@@ -71,6 +71,13 @@ class TestGen:
         assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_negative_seed_is_a_config_error_naming_seed(self, tmp_path, capsys):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text("seed = -1\n")
+        assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err
+
 
 @pytest.fixture
 def dataset(tmp_path):

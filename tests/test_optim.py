@@ -9,7 +9,7 @@ import pytest
 import graphflow.optim as optim
 import graphflow.tensor as tt
 from graphflow.checkpoint import load_checkpoint, save_checkpoint
-from graphflow.errors import ContractError, FormatError
+from graphflow.errors import ContractError, FormatError, NumericError
 from graphflow.optim import AdamW, one_cycle_lr
 from graphflow.tensor import Tensor, mul, tsum
 
@@ -222,7 +222,7 @@ class TestFlatAdamW:
         ropt = AdamW(resumed, lr=3e-3, weight_decay=1e-2)
         back = load_checkpoint(path)
         for name, p in resumed.items():
-            p.data = back[name].copy()          # as FlowModel.load_state does
+            p.data[...] = back[name]            # as FlowModel.load_state does
         ropt.load_state_entries(back)
         self.run_steps(ropt, resumed, range(2, 5))
         for name in params:
@@ -235,8 +235,44 @@ class TestFlatAdamW:
         params = shaped_params(FLAT_SHAPES, np.float32)
         opt = AdamW(params, lr=1e-3)
         params["p1"].data = np.zeros(5, np.float32)
-        with pytest.raises(ContractError, match="extents"):
+        with pytest.raises(ContractError, match="rebound"):
             opt.step()
+
+    @staticmethod
+    def snapshot(opt, params):
+        """Every weight, both moment buffers, the step counter and the rate."""
+        return ([p.data.copy() for p in params.values()]
+                + [opt._m.copy(), opt._v.copy(), np.array([opt.t, opt.lr])])
+
+    def assert_untouched(self, opt, params, before):
+        after = self.snapshot(opt, params)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_rebinding_to_the_same_extents_is_rejected_before_any_update(self):
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        opt = AdamW(params, lr=1e-3, weight_decay=1e-2)
+        self.run_steps(opt, params, range(2))
+        views = {n: p.data for n, p in params.items()}
+        before = self.snapshot(opt, params)
+        params["p3"].data = views["p3"].copy()
+        with pytest.raises(ContractError, match=r"parameter p3 was rebound"):
+            self.run_steps(opt, params, [2])
+        params["p3"].data = views["p3"]
+        self.assert_untouched(opt, params, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_is_rejected_before_any_update(self, bad):
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        opt = AdamW(params, lr=1e-3, weight_decay=1e-2)
+        self.run_steps(opt, params, range(2))
+        before = self.snapshot(opt, params)
+        for name, g in step_gradients(FLAT_SHAPES, np.float32, 2).items():
+            params[name].grad = g
+        params["p5"].grad[3] = bad
+        with pytest.raises(NumericError,
+                           match=r"^gradient of p5 became non-finite at step 2$"):
+            opt.step(lr=5e-2)
+        self.assert_untouched(opt, params, before)
 
     def test_mixed_dtypes_are_rejected(self):
         params = {"a": Tensor(np.zeros(2), dtype=np.float32),
