@@ -6,8 +6,9 @@ over it, raises the BLAS thread cap. The cap must take effect before
 numpy loads, so the heavyweight imports run inside main() after the
 config is built.
 
-Exit codes: 0 success, 2 configuration or usage errors, 3 unreadable
-or malformed data (files, checkpoints, shape mismatches), 4 numeric
+Exit codes: 0 success, 2 configuration or usage errors (including a
+configured size that does not fit in memory), 3 unreadable or
+malformed data (files, checkpoints, shape mismatches), 4 numeric
 failures (non-finite loss, gradient audit above tolerance).
 """
 
@@ -94,18 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_config(args):
     from .config import load_run_config
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.graph is not None:
-        cfg.graph = args.graph
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if getattr(args, "data", None):
-        cfg.data = args.data
+    for name in ("seed", "out", "graph", "precision", "threads", "data"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
@@ -167,7 +160,7 @@ def _cmd_bench(args, cfg) -> int:
     import numpy as np
 
     from .counting import count_flops, count_params
-    from .data import SyntheticSpec, gen_pair
+    from .data import DatasetSpec, gen_pair
     from .graph import adapter_param_count, analytic_param_count
     from .model import FlowModel
     from .tensor import precision
@@ -194,9 +187,7 @@ def _cmd_bench(args, cfg) -> int:
         print(f"graph.agr\t{analytic_param_count(c, k, 'agr')}")
         print(f"graph.adapter_delta\t{adapter_param_count(c, k)}")
 
-        spec = SyntheticSpec(height=args.size, width=args.size,
-                             texture="smoothed-noise", motion="affine",
-                             mag_min=0.5, mag_max=2.0, seed=cfg.seed)
+        spec = DatasetSpec(height=args.size, width=args.size, seed=cfg.seed)
         frame1, frame2, _ = gen_pair(spec)
         for _ in range(3):
             model.predict(frame2, frame1)
@@ -251,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:     # a size the config asked for does not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, DimensionError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

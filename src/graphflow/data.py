@@ -12,7 +12,7 @@ Everything here is plain numpy; nothing needs gradients.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,17 @@ FLO_MAGIC = 202021.25
 UNKNOWN_FLOW = 1e10
 TEXTURES = ("smoothed-noise", "sinusoid-mixture")
 MOTIONS = ("constant", "affine", "sinusoidal-field")
+# Fl-all counts a pixel as an outlier above this end-point error, in pixels
+TAU = 3.0
 
 
 @dataclass
 class FlowField:
-    """Dense displacement field (2, H, W); u right-positive, v down-positive."""
+    """Dense displacement field (2, H, W); u right-positive, v down-positive.
+
+    ``valid`` is a boolean (H, W) mask; None in the constructor means
+    every pixel is valid and is stored as an all-true mask.
+    """
 
     flow: np.ndarray
     valid: np.ndarray | None = None
@@ -37,29 +43,33 @@ class FlowField:
         arr = self.flow
         if arr.ndim != 3 or arr.shape[0] != 2:
             raise DimensionError(f"flow must be (2,H,W), got {arr.shape}")
-        if self.valid is not None and self.valid.shape != arr.shape[1:]:
+        if self.valid is None:
+            self.valid = np.ones(arr.shape[1:], dtype=bool)
+        elif self.valid.shape != arr.shape[1:]:
             raise DimensionError(
                 f"valid mask {self.valid.shape} does not match flow {arr.shape}")
 
     def valid_mask(self) -> np.ndarray:
-        if self.valid is None:
-            return np.ones(self.flow.shape[1:], dtype=bool)
         return self.valid
 
 
 @dataclass
-class SyntheticSpec:
-    """Recipe for one generated dataset."""
+class DatasetSpec:
+    """Recipe for one rendered dataset: the sample family, then how many
+    pairs to draw. ``gen_pair`` reads every field but ``pairs``."""
 
     height: int = 64
     width: int = 64
     texture: str = "smoothed-noise"
     motion: str = "affine"
     mag_min: float = 0.5
-    mag_max: float = 3.0
+    mag_max: float = 2.0
     seed: int = 0
+    pairs: int = 8
 
     def validate(self) -> None:
+        if self.pairs < 1:
+            raise ConfigError(f"pairs must be positive, got {self.pairs}")
         if self.height < 16 or self.width < 16:
             raise ConfigError(
                 f"generated size must be at least 16x16, got "
@@ -73,16 +83,12 @@ class SyntheticSpec:
         if self.mag_min < 0 or self.mag_max < self.mag_min:
             raise ConfigError(
                 f"need 0 <= mag_min <= mag_max, got {self.mag_min}/{self.mag_max}")
+        if self.mag_max >= UNKNOWN_FLOW / 10:
+            raise ConfigError(
+                f"mag_max must be below {UNKNOWN_FLOW / 10:g}, where read_flo "
+                f"marks flow unknown, got {self.mag_max}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class EvalResult:
-    epe: float
-    f1_all: float
-    per_image: list = field(default_factory=list)
-    pixels: int = 0
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -97,7 +103,7 @@ def _box_blur(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def _texture(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+def _texture(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
     if spec.texture == "smoothed-noise":
         img = rng.uniform(size=(3, h, w))
@@ -117,7 +123,7 @@ def _texture(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     return ((img - lo) / max(hi - lo, 1e-9)).astype(np.float64)
 
 
-def _motion_field(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+def _motion_field(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
@@ -167,7 +173,7 @@ def warp_backward(img: np.ndarray, flow: np.ndarray):
     return out, valid
 
 
-def gen_pair(spec: SyntheticSpec, index: int = 0):
+def gen_pair(spec: DatasetSpec, index: int = 0):
     """One (I1, I2, gt) triple; ``index`` varies pairs under one seed.
 
     I2 is the backward warp of I1 by gt, so I2(p) = I1(p + gt(p))
@@ -199,8 +205,7 @@ def write_flo(path: str | Path, flow: FlowField) -> None:
     uv = np.empty((h, w, 2), dtype="<f4")
     uv[..., 0] = arr[0]
     uv[..., 1] = arr[1]
-    if flow.valid is not None:
-        uv[~flow.valid] = UNKNOWN_FLOW
+    uv[~flow.valid] = UNKNOWN_FLOW
     with open(path, "wb") as fh:
         fh.write(struct.pack("<f", FLO_MAGIC))
         fh.write(struct.pack("<ii", w, h))
@@ -226,9 +231,8 @@ def read_flo(path: str | Path) -> FlowField:
     uv = np.frombuffer(blob, dtype="<f4", offset=12).reshape(h, w, 2)
     flow = np.stack([uv[..., 0], uv[..., 1]])
     known = np.abs(flow).max(axis=0) < UNKNOWN_FLOW / 10
-    valid = None if known.all() else known
     flow = np.where(known, flow, 0.0).astype(np.float32)
-    return FlowField(flow=flow, valid=valid)
+    return FlowField(flow=flow, valid=known)
 
 
 # -- PPM I/O -----------------------------------------------------------------
@@ -354,11 +358,11 @@ def epe(pred: np.ndarray, gt: FlowField) -> float:
     return float(err[valid].sum() / valid.sum())
 
 
-def f1_all(pred: np.ndarray, gt: FlowField, tau: float = 3.0) -> float:
-    """Percentage of valid pixels whose end-point error exceeds ``tau``
+def f1_all(pred: np.ndarray, gt: FlowField) -> float:
+    """Percentage of valid pixels whose end-point error exceeds ``TAU``
     pixels (the single-threshold definition)."""
     err, valid = _metric_inputs(pred, gt)
-    bad = err > tau
+    bad = err > TAU
     return float(100.0 * bad[valid].sum() / valid.sum())
 
 
@@ -405,19 +409,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 # -- dataset rendering -------------------------------------------------------
-
-
-@dataclass
-class DatasetSpec(SyntheticSpec):
-    """One rendered dataset: a sample family plus how many pairs to draw."""
-
-    mag_max: float = 2.0
-    pairs: int = 8
-
-    def validate(self) -> None:
-        if self.pairs < 1:
-            raise ConfigError(f"pairs must be positive, got {self.pairs}")
-        super().validate()
 
 
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> Path:

@@ -28,6 +28,7 @@ from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, matmul, mul,
                      tsum, window_sample)
 
 PYRAMID_LEVELS = 4
+GAMMA = 0.8          # sequence-loss decay toward earlier iterations
 
 
 @dataclass
@@ -224,11 +225,10 @@ def upsample_flow(flow: Tensor, d: int) -> Tensor:
 # -- loss --------------------------------------------------------------------
 
 
-def sequence_loss(preds: list[Tensor], gt: FlowField,
-                  gamma: float = 0.8) -> Tensor:
+def sequence_loss(preds: list[Tensor], gt: FlowField) -> Tensor:
     """Exponentially weighted L1 over the prediction sequence.
 
-    Sum_i gamma^(T-1-i) * mean over valid pixels of |du| + |dv|; later
+    Sum_i GAMMA^(T-1-i) * mean over valid pixels of |du| + |dv|; later
     iterations weigh more.
     """
     if not preds:
@@ -238,17 +238,17 @@ def sequence_loss(preds: list[Tensor], gt: FlowField,
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ContractError("no valid pixels in the ground truth")
+    dtype = preds[0].dtype
+    neg_gt = Tensor(-garr, dtype=dtype)
+    mask = Tensor(np.broadcast_to(valid, garr.shape), dtype=dtype)
     t = len(preds)
     total = None
     for i, pred in enumerate(preds):
         if pred.shape != garr.shape:
             raise DimensionError(
                 f"prediction {i} shape {pred.shape} != ground truth {garr.shape}")
-        gt_t = Tensor(garr, dtype=pred.dtype)
-        mask = Tensor(np.broadcast_to(valid, garr.shape).astype(garr.dtype),
-                      dtype=pred.dtype)
-        diff = absolute(add(pred, scale(gt_t, -1.0)))
-        term = scale(tsum(mul(diff, mask)), gamma ** (t - 1 - i) / n_valid)
+        diff = absolute(add(pred, neg_gt))
+        term = scale(tsum(mul(diff, mask)), GAMMA ** (t - 1 - i) / n_valid)
         total = term if total is None else add(total, term)
     return total
 

@@ -431,14 +431,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
 
     The map is padded by p = k // 2 on every side, so the output is
     ceil(H / stride) by ceil(W / stride). The forward runs as im2col
-    plus one GEMM. At stride 1 the tape keeps no columns: the output
-    gradient, padded by the same p, goes through the same im2col, and
-    its GEMMs with the flipped kernel and with the input map give the
-    input gradient (a transposed conv) and the flipped weight gradient.
-    At stride > 1 the columns are kept for the weight gradient, and the
-    input gradient re-scatters the column gradient with k*k strided
-    slice additions: a transposed conv there would multiply by the
-    zeros of a gradient dilated by the stride, stride**2 times the FLOPs.
+    plus one GEMM, and the tape keeps no columns at any stride. At
+    stride 1 the output gradient, padded by the same p, goes through
+    the same im2col, and its GEMMs with the flipped kernel and with the
+    input map give the input gradient (a transposed conv) and the
+    flipped weight gradient. At stride > 1 the weight gradient rebuilds
+    the forward columns, and the input gradient re-scatters the column
+    gradient with k*k strided slice additions: a transposed conv there
+    would multiply by the zeros of a gradient dilated by the stride,
+    stride**2 times the FLOPs.
     """
     _check_same_dtype(x, w, b)
     if x.data.ndim != 3:
@@ -464,8 +465,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     cols = _im2col(_pad(x.data, p), kh, stride, ho, wo)
     wm = w.data.reshape(cout, cin * kh * kw)
     out = wm @ cols
-    if stride == 1:
-        del cols                       # backward works from the gradient's im2col
     out += b.data[:, None]
     out_data = out.reshape(cout, ho, wo)
 
@@ -483,6 +482,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
                 x._accum((wf @ gcols).reshape(x.shape))
             return
         if w.requires_grad:
+            cols = _im2col(_pad(x.data, p), kh, stride, ho, wo)
             w._accum((gm @ cols.T).reshape(w.shape))
         if x.requires_grad:
             dwin = (wm.T @ gm).reshape(cin, kh, kw, ho, wo)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import EvalResult, epe, f1_all, read_flo, read_manifest, read_ppm
+from .data import epe, f1_all, read_flo, read_manifest, read_ppm
 from .errors import ConfigError, FormatError, NumericError
 from .model import FlowModel, sequence_loss
 from .optim import AdamW, one_cycle_lr
@@ -30,6 +30,13 @@ class TrainResult:
     last_loss: float
     steps_run: int
     log_rows: list = field(default_factory=list)
+
+
+@dataclass
+class EvalResult:
+    epe: float
+    f1_all: float
+    pixels: int
 
 
 def load_pairs(manifest_path: str | Path):
@@ -162,7 +169,6 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_image = []
     epe_sum = 0.0
     bad_sum = 0.0
     pixel_sum = 0
@@ -176,7 +182,6 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
                 pair_epe = epe(pred.flow, gt)
                 pair_f1 = f1_all(pred.flow, gt)
                 count = int(gt.valid_mask().sum())
-                per_image.append((pair_id, pair_epe, pair_f1, count))
                 epe_sum += pair_epe * count
                 bad_sum += pair_f1 * count
                 pixel_sum += count
@@ -185,8 +190,7 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
                 if progress is not None:
                     progress(line)
             result = EvalResult(epe=epe_sum / pixel_sum,
-                                f1_all=bad_sum / pixel_sum,
-                                per_image=per_image, pixels=pixel_sum)
+                                f1_all=bad_sum / pixel_sum, pixels=pixel_sum)
             log.write(f"all\t{result.epe:.4f}\t{result.f1_all:.4f}"
                       f"\t{pixel_sum}\n")
     return result

@@ -78,6 +78,27 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "seed" in err
 
+    def test_unrepresentable_mag_max_is_a_config_error(self, tmp_path, capsys,
+                                                       recwarn):
+        """From 1e9 up, read_flo would mark the rendered flow unknown."""
+        spec = tmp_path / "gen.cfg"
+        spec.write_text("mag_max = 1e308\n")
+        assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mag_max" in err
+        assert not recwarn.list
+
+    def test_size_too_large_for_memory_ends_in_one_line(self, tmp_path,
+                                                        capsys):
+        """13.6 PiB is beyond any 48-bit address space, so the allocation
+        fails at once and touches no memory."""
+        spec = tmp_path / "gen.cfg"
+        spec.write_text("width = 10000000000000\n")
+        assert main(["gen", str(spec), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: out of memory: ")
+
 
 @pytest.fixture
 def dataset(tmp_path):
@@ -340,6 +361,14 @@ class TestConfigPlumbing:
         parse = _build_parser().parse_args
         assert _effective_config(parse(base)).threads == 2
         assert _effective_config(parse(base + ["--threads", "3"])).threads == 3
+
+    def test_empty_data_flag_reaches_the_missing_manifest_check(self, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_cfg(cfg, extra="data = elsewhere/manifest.tsv\n")
+        assert main(["train", "--config", str(cfg), "--data", "",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "needs data=<manifest path>" in capsys.readouterr().err
 
     def test_invalid_config_value_exits_with_usage_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

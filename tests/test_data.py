@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from graphflow.data import (FlowField, SyntheticSpec, epe, f1_all,
+from graphflow.data import (DatasetSpec, FlowField, epe, f1_all,
                             flow_to_color, gen_pair, read_flo, read_manifest,
                             read_ppm, warp_backward, write_flo, write_manifest,
                             write_ppm)
@@ -19,7 +19,7 @@ def spec(**kw):
     base = dict(height=24, width=32, texture="smoothed-noise", motion="constant",
                 mag_min=1.0, mag_max=3.0, seed=7)
     base.update(kw)
-    return SyntheticSpec(**base)
+    return DatasetSpec(**base)
 
 
 class TestGenPair:

@@ -318,7 +318,7 @@ class TestSequenceLoss:
         gt = FlowField(flow=np.zeros((2, 2, 2), dtype=np.float32))
         preds = [t64(np.ones((2, 2, 2))), t64(np.zeros((2, 2, 2)))]
         # first of two predictions carries weight gamma
-        assert np.isclose(sequence_loss(preds, gt, gamma=0.8).item(), 1.6,
+        assert np.isclose(sequence_loss(preds, gt).item(), 1.6,
                           atol=1e-12)
 
     def test_invalid_pixels_are_excluded(self, f64):

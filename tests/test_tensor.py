@@ -394,9 +394,9 @@ class TestBackward:
             x.backward()
 
     def test_backward_frees_the_conv_columns(self, monkeypatch):
-        """A stride-1 conv keeps no columns on the tape: both its gradients
-        come from the output gradient's im2col. A strided conv keeps its
-        columns for the weight gradient until backward() frees them."""
+        """No conv keeps columns on the tape: a stride-1 conv takes both
+        gradients from the output gradient's im2col, and a strided conv
+        rebuilds its columns in backward() for the weight gradient."""
         made = []
         im2col = tt._im2col
 
@@ -413,9 +413,9 @@ class TestBackward:
         y = conv2d(x, w, c64(np.zeros(3)))
         assert made[0]() is None
         loss = tsum(conv2d(y, w2, c64(np.zeros(4)), stride=2))
-        assert made[1]() is not None
-        loss.backward()
         assert made[1]() is None
+        loss.backward()
+        assert all(ref() is None for ref in made)
 
     def test_interior_gradients_are_dropped(self):
         x = p64([1.0, 2.0])
