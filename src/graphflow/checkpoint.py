@@ -25,24 +25,20 @@ VERSION = 1
 
 
 def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray]) -> None:
-    """Serialize named arrays; values are stored as float32."""
+    """Serialize named arrays as float32, each written straight to the file."""
     if not entries:
         raise ContractError("refusing to write a checkpoint with no entries")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", VERSION, len(entries))
-    for name, arr in entries.items():
-        # note: ascontiguousarray would force rank-0 entries to rank 1
-        arr = np.asarray(arr, dtype="<f4", order="C")
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes()
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(bytes(blob))
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(entries)))
+            for name, arr in entries.items():
+                # note: ascontiguousarray would force rank-0 entries to rank 1
+                arr = np.asarray(arr, dtype="<f4", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded),
+                                     encoded, arr.ndim, *arr.shape))
+                fh.write(arr.data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

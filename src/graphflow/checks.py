@@ -140,8 +140,8 @@ def _op_cases(rng):
     return cases
 
 
-def check_operations(rng=None) -> list[CheckRow]:
-    rng = rng or np.random.default_rng(101)
+def check_operations() -> list[CheckRow]:
+    rng = np.random.default_rng(101)
     rows = []
     with tt.precision(64):
         for name, params, fn in _op_cases(rng):
@@ -195,9 +195,5 @@ def check_full_model() -> CheckRow:
     return CheckRow("model.micro", report.max_rel_err, MODEL_TOL)
 
 
-def run_gradient_suite(include_model: bool = True) -> list[CheckRow]:
-    rows = check_operations()
-    rows.append(check_reasoning_block())
-    if include_model:
-        rows.append(check_full_model())
-    return rows
+def run_gradient_suite() -> list[CheckRow]:
+    return [*check_operations(), check_reasoning_block(), check_full_model()]

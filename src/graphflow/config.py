@@ -70,6 +70,9 @@ class RunConfig(ModelConfig):
         for name in ("steps", "batch_size", "log_interval", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.steps > 2 ** 24:    # the float32 meta.adam_t is exact up to 2**24
+            raise ConfigError(f"steps must be <= 2**24 = {2 ** 24}, the checkpoint "
+                              f"step counter's exact range, got {self.steps}")
         if not 0 < self.peak_lr < math.inf:
             raise ConfigError(
                 f"peak_lr must be positive and finite, got {self.peak_lr}")

@@ -5,8 +5,8 @@ entry (central differences) and compares against the gradients a single
 ``backward()`` produced. Relative error uses max(1, |a|, |n|) in the
 denominator so tiny gradients near zero do not blow the ratio up.
 
-Checks are meant to run at 64-bit precision; the default step of 1e-6
-balances truncation against round-off there.
+Checks are meant to run at 64-bit precision; the step of 1e-6 balances
+truncation against round-off there.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor, no_grad
 
+STEP = 1e-6
+
 
 @dataclass
 class GradReport:
     """Worst relative error per parameter for one checked function."""
 
     per_param: dict[str, float] = field(default_factory=dict)
-    step: float = 1e-6
-    bits: int = 64
 
     @property
     def max_rel_err(self) -> float:
@@ -39,16 +39,13 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def gradcheck(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
-              step: float = 1e-6) -> GradReport:
+def gradcheck(fn: Callable[[], Tensor], params: Mapping[str, Tensor]) -> GradReport:
     """Compare backward() gradients of ``fn`` against central differences.
 
     ``fn`` must rebuild its graph on every call and return a scalar
     tensor that depends (directly or not) on every entry of ``params``.
     Parameter data is perturbed in place and always restored.
     """
-    if step <= 0:
-        raise ContractError(f"step must be positive, got {step}")
     for name, p in params.items():
         if not isinstance(p, Tensor) or not p.requires_grad:
             raise ContractError(f"parameter {name!r} is not a grad-enabled tensor")
@@ -63,8 +60,7 @@ def gradcheck(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
     for name, p in params.items():
         analytic[name] = (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
 
-    bits = 64 if params and next(iter(params.values())).data.dtype == np.float64 else 32
-    report = GradReport(step=step, bits=bits)
+    report = GradReport()
     with no_grad():
         for name, p in params.items():
             worst = 0.0
@@ -72,12 +68,12 @@ def gradcheck(fn: Callable[[], Tensor], params: Mapping[str, Tensor],
             aflat = analytic[name].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + STEP
                 f_plus = fn().item()
-                flat[i] = orig - step
+                flat[i] = orig - STEP
                 f_minus = fn().item()
                 flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * step)
+                numeric = (f_plus - f_minus) / (2.0 * STEP)
                 worst = max(worst, rel_err(float(aflat[i]), numeric))
             report.per_param[name] = worst
     return report

@@ -331,7 +331,8 @@ class FlowModel:
     # -- state ---------------------------------------------------------------
 
     def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+        """Each parameter's own array, live: serialize before the next update."""
+        return {name: p.data for name, p in self.params.items()}
 
     def load_state(self, entries: dict[str, np.ndarray]) -> None:
         """Write weights in place; 'opt.' / 'meta.' entries are ignored.

@@ -137,10 +137,11 @@ class AdamW:
     # -- checkpoint embedding ------------------------------------------------
 
     def state_entries(self) -> dict[str, np.ndarray]:
+        """Live views of the moment buffers: serialize before the next step."""
         out: dict[str, np.ndarray] = {}
         for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name].copy()
-            out[f"opt.v.{name}"] = self.v[name].copy()
+            out[f"opt.m.{name}"] = self.m[name]
+            out[f"opt.v.{name}"] = self.v[name]
         out["meta.adam_t"] = np.asarray([float(self.t)], dtype=np.float32)
         return out
 

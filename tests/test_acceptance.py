@@ -49,7 +49,7 @@ OVERFIT_EPE = 1.0           # train-set end-point error after overfitting
 @pytest.mark.slow
 def test_criterion_01_gradient_audit_under_two_minutes():
     t0 = time.perf_counter()
-    rows = run_gradient_suite(include_model=True)
+    rows = run_gradient_suite()
     elapsed = time.perf_counter() - t0
     names = [r.name for r in rows]
     assert any(n.startswith("op.") for n in names)

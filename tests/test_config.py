@@ -56,6 +56,7 @@ class TestValidate:
         ("steps", 0), ("peak_lr", 0.0), ("warmup_frac", 1.0),
         ("threads", 0), ("weight_decay", -0.1), ("seed", -1),
         ("peak_lr", float("nan")), ("weight_decay", float("inf")),
+        ("steps", 2 ** 24 + 1),
     ])
     def test_each_bound_is_enforced(self, field, value):
         cfg = RunConfig()

@@ -24,8 +24,6 @@ class TestHarness:
         rep = gradcheck(lambda: mul(tsum(mul(x, x)), Tensor(0.5, dtype=np.float64)),
                         {"x": x})
         assert rep.max_rel_err < 1e-9
-        assert rep.bits == 64
-        assert rep.step == 1e-6
 
     def test_report_lists_every_checked_parameter(self):
         a, b = p64(np.ones((2, 2))), p64(np.ones((2, 2)))

@@ -363,6 +363,13 @@ class TestCheckpointRoundTrip:
         for k in state:
             assert np.allclose(other.params[k].data, state[k], atol=1e-7)
 
+    def test_state_is_the_live_parameters(self, f64):
+        model = FlowModel(micro_cfg())
+        state = model.state()
+        assert list(state) == list(model.params)
+        for name, p in model.params.items():
+            assert np.shares_memory(state[name], p.data)
+
     def test_unknown_entry_is_rejected(self, f64):
         model = FlowModel(micro_cfg())
         state = model.state()

@@ -1,6 +1,8 @@
 """AdamW stepping, the one-cycle schedule, and checkpoint serialization."""
 
+import io
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,14 @@ class TestAdamW:
         for name in ("p0", "p1"):
             assert np.array_equal(fresh.m[name], opt.m[name])
             assert np.array_equal(fresh.v[name], opt.v[name])
+
+    def test_state_entries_are_live_views_of_the_moments(self, f64):
+        params = quad_params([[1.0, 2.0], [3.0]])
+        opt = AdamW(params, lr=0.1)
+        entries = opt.state_entries()
+        for name in params:
+            assert np.shares_memory(entries[f"opt.m.{name}"], opt._m)
+            assert np.shares_memory(entries[f"opt.v.{name}"], opt._v)
 
     def test_loading_misshapen_state_is_rejected(self, f64):
         opt = AdamW(quad_params([1.0]), lr=0.1)
@@ -329,17 +339,36 @@ class TestCheckpointContainer:
         save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)})
         before = path.read_bytes()
 
-        def half_then_fail(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError("no space left on device")
+        class SecondWriteFails(io.FileIO):
+            """The header lands on disk, then the device fills up."""
+            writes = 0
 
-        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
-        with pytest.raises(OSError):
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(Path, "open",
+                            lambda self, mode: SecondWriteFails(self, mode))
+        with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, {"w": np.ones(6, dtype=np.float32)})
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.agfw"]
+
+    def test_save_streams_without_a_whole_file_buffer(self, tmp_path):
+        mib = 1 << 20
+        entries = {f"e{i}": np.full(mib // 4, i, dtype=np.float32)
+                   for i in range(8)}
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "big.agfw", entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mib
+        assert (tmp_path / "big.agfw").stat().st_size > 8 * mib
 
     def test_rewriting_identical_state_gives_identical_bytes(self, tmp_path):
         entries = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
