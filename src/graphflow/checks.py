@@ -18,6 +18,7 @@ from .config import ModelConfig
 from .data import FlowField
 from .gradcheck import gradcheck
 from .graph import GraphBlock
+from .layers import tap_major
 from .model import FlowModel, sequence_loss
 from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv2d,
                      l2_normalize, matmul, mul, relu, reshape, scale, sigmoid,
@@ -115,10 +116,12 @@ def _op_cases(rng):
     lnw = _weights(rng, (3, 4))
     case("l2_normalize", {"x": ln}, lambda: tsum(mul(l2_normalize(ln), lnw)))
 
-    # a stride-1 conv feeds a stride-2 one, so both backward paths run
+    # a stride-1 conv feeds a stride-2 one, so both backward paths run,
+    # with weights stored tap-major as Conv2d stores them
     cx = _param(rng, (2, 5, 5))
     ck1 = _param(rng, (2, 2, 3, 3))
     ck = _param(rng, (3, 2, 3, 3))
+    ck1.data, ck.data = tap_major(ck1.data), tap_major(ck.data)
     cb = _param(rng, (3,))
     cvw = _weights(rng, (3, 3, 3))
     zero_b = Tensor(np.zeros(2), dtype=np.float64)    # draws no random numbers
@@ -175,7 +178,8 @@ def check_full_model() -> CheckRow:
     biases would otherwise park relu units exactly on their corner
     (the flow branch sees an all-zero flow at the first pass), where a
     central difference measures the subgradient convention instead of
-    the implemented rule.
+    the implemented rule. The jitter is added in place, so the conv
+    weights stay tap-major, as they train.
     """
     with tt.precision(64):
         cfg = ModelConfig(feature_channels=4, context_channels=4, nodes=3,
@@ -184,7 +188,7 @@ def check_full_model() -> CheckRow:
         model = FlowModel(cfg)
         rng = np.random.default_rng(303)
         for p in model.params.values():
-            p.data = p.data + rng.normal(scale=0.05, size=p.data.shape)
+            p.data += rng.normal(scale=0.05, size=p.data.shape)
         model.graph.alpha.data = np.asarray(0.4)
         model.graph.beta.data = np.asarray(-0.3)
         i1 = rng.uniform(size=(3, 8, 8))

@@ -64,16 +64,16 @@ def gradcheck(fn: Callable[[], Tensor], params: Mapping[str, Tensor]) -> GradRep
     with no_grad():
         for name, p in params.items():
             worst = 0.0
-            flat = p.data.reshape(-1)
-            aflat = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + STEP
+            # index p.data itself: a reshape of a weight that is not
+            # C-ordered would perturb a copy
+            for i in np.ndindex(p.shape):
+                orig = p.data[i]
+                p.data[i] = orig + STEP
                 f_plus = fn().item()
-                flat[i] = orig - STEP
+                p.data[i] = orig - STEP
                 f_minus = fn().item()
-                flat[i] = orig
+                p.data[i] = orig
                 numeric = (f_plus - f_minus) / (2.0 * STEP)
-                worst = max(worst, rel_err(float(aflat[i]), numeric))
+                worst = max(worst, rel_err(float(analytic[name][i]), numeric))
             report.per_param[name] = worst
     return report

@@ -27,10 +27,18 @@ def parameter(params: dict, name: str, data: np.ndarray) -> Tensor:
     return params[name]
 
 
+def tap_major(w: np.ndarray) -> np.ndarray:
+    """The same (O, I, k, k) values with memory holding (O, k, k, I)."""
+    return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 class Conv2d:
     """A same-padded conv layer owning ``name.w`` and a zero ``name.b``.
 
-    Biases start at zero so freshly built gates and heads produce
+    The weight keeps its (cout, cin, k, k) extents but is stored
+    tap-major, the order in which ``conv2d`` reads it and writes its
+    gradient; the draws, and so the values, are those of a C-ordered
+    init. Biases start at zero so freshly built gates and heads produce
     reproducible, data-independent values.
     """
 
@@ -38,8 +46,8 @@ class Conv2d:
                  cin: int, cout: int, k: int, *, stride: int = 1,
                  gain: str = "relu"):
         std = he_std(cin * k * k, gain)
-        self.w = parameter(params, f"{name}.w",
-                           rng.normal(0.0, std, size=(cout, cin, k, k)))
+        self.w = parameter(params, f"{name}.w", tap_major(
+            rng.normal(0.0, std, size=(cout, cin, k, k))))
         self.b = parameter(params, f"{name}.b", np.zeros(cout))
         self.stride = stride
 

@@ -29,6 +29,7 @@ from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, matmul, mul,
 
 PYRAMID_LEVELS = 4
 GAMMA = 0.8          # sequence-loss decay toward earlier iterations
+_CONFIG_HINT = "; the checkpoint was likely written under another --config"
 
 
 @dataclass
@@ -344,7 +345,8 @@ class FlowModel:
         for name in entries:
             if name not in self.params and not name.startswith(("opt.", "meta.")):
                 raise ContractError(
-                    f"checkpoint entry {name!r} does not exist in this model")
+                    f"checkpoint entry {name!r} does not exist in this model"
+                    f"{_CONFIG_HINT}")
         for name, p in self.params.items():
             if name not in entries:
                 raise ContractError(f"checkpoint is missing parameter {name!r}")
@@ -352,5 +354,5 @@ class FlowModel:
             if arr.shape != p.data.shape:
                 raise DimensionError(
                     f"parameter {name!r}: checkpoint extents {arr.shape} "
-                    f"do not match model extents {p.data.shape}")
+                    f"do not match model extents {p.data.shape}{_CONFIG_HINT}")
             p.data[...] = arr

@@ -2,14 +2,16 @@
 
 The optimizer owns its parameters' storage. At construction every
 parameter's values move into one flat buffer, and each ``p.data``
-becomes a view into it that later writes fill in place, as
+becomes a view into it, in the parameter's own memory order (a conv
+weight stays tap-major), that later writes fill in place, as
 ``FlowModel.load_state`` does; the moments are flat buffers of the same
 layout. A step first checks every parameter and raises before anything
 moves: ``ContractError`` for one rebound off its view, ``NumericError``
 for a non-finite gradient (the training loop's gradient check). It then
-reads each gradient once into C-ordered scratch and runs the update
-over spans of consecutive parameters, so the ufunc sequence is the
-per-parameter one, element for element, and bitwise equal to it.
+reads each gradient once into scratch laid out in each parameter's
+memory order and runs the update over spans of consecutive parameters,
+so the ufunc sequence is the per-parameter one, element for element,
+and bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ GROUP_ELEMENTS = 1 << 16
 
 BETA1, BETA2 = 0.9, 0.999       # moment decay rates
 EPS = 1e-8                      # denominator floor
+
+
+def _memory_order(a: np.ndarray) -> tuple[tuple, tuple]:
+    """(storage extents, axes) such that a C-ordered buffer of the storage
+    extents, transposed by ``axes``, has ``a``'s extents and memory order."""
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    return (tuple(a.shape[i] for i in order),
+            tuple(order.index(i) for i in range(a.ndim)))
 
 
 class AdamW:
@@ -53,24 +63,26 @@ class AdamW:
         self._v = np.zeros_like(self._flat)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        # slots: (name, parameter, its view of the flat buffer, offset)
-        self._groups: list[list[tuple[str, Tensor, np.ndarray, int]]] = [[]]
+        # slots: (name, parameter, its view of the flat buffer, offset,
+        # storage extents, axes), the last two its memory order
+        self._groups: list[list[tuple]] = [[]]
         group_size = 0
         off = 0
         for name, p in self.params.items():
-            size, shape = p.data.size, p.data.shape
-            view = self._flat[off:off + size].reshape(shape)
+            size = p.data.size
+            storage, axes = _memory_order(p.data)
+            view, self.m[name], self.v[name] = (
+                buf[off:off + size].reshape(storage).transpose(axes)
+                for buf in (self._flat, self._m, self._v))
             view[...] = p.data
             p.data = view
-            self.m[name] = self._m[off:off + size].reshape(shape)
-            self.v[name] = self._v[off:off + size].reshape(shape)
             if group_size and group_size + size > GROUP_ELEMENTS:
                 self._groups.append([])
                 group_size = 0
-            self._groups[-1].append((name, p, view, off))
+            self._groups[-1].append((name, p, view, off, storage, axes))
             group_size += size
             off += size
-        self._span = max(sum(view.size for _, _, view, _ in group)
+        self._span = max(sum(slot[2].size for slot in group)
                          for group in self._groups)
 
     def zero_grad(self) -> None:
@@ -80,7 +92,7 @@ class AdamW:
     def step(self, lr: float | None = None) -> None:
         """One update of every parameter that holds a gradient."""
         for group in self._groups:
-            for name, p, view, _ in group:
+            for name, p, view, *_ in group:
                 if p.data is not view:
                     raise ContractError(
                         f"parameter {name} was rebound off the optimizer's "
@@ -95,7 +107,7 @@ class AdamW:
         # scratch never adds to peak memory
         scratch = np.empty((2, self._span), dtype=self._flat.dtype)
         for group in self._groups:
-            run: list[tuple[str, Tensor, np.ndarray, int]] = []
+            run: list[tuple] = []
             for slot in group:
                 if slot[1].grad is None:
                     self._update(run, scratch)
@@ -111,8 +123,9 @@ class AdamW:
         lo = run[0][3]
         hi = run[-1][3] + run[-1][2].size
         g, t = scratch[0, :hi - lo], scratch[1, :hi - lo]
-        for _, p, view, off in run:
-            np.copyto(g[off - lo:off - lo + view.size].reshape(view.shape), p.grad)
+        for _, p, view, off, storage, axes in run:
+            np.copyto(g[off - lo:off - lo + view.size].reshape(storage)
+                      .transpose(axes), p.grad)
         b1, b2 = BETA1, BETA2
         m, v, w = self._m[lo:hi], self._v[lo:hi], self._flat[lo:hi]
         m *= b1

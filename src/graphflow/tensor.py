@@ -31,11 +31,15 @@ the gradient over every stretched axis, leading or trailing.
 
 ``conv2d`` is same-padded with a bias: the map is padded by k // 2,
 so the output extents are ceil(H / stride) by ceil(W / stride). Its
-im2col columns take one strided slice copy per kernel tap. At stride 1
-the tape keeps no columns: the output gradient, padded by the same
-k // 2, goes through the same im2col, and both gradients come from it.
-Strided convs keep their columns and scatter the column gradient back
-tap by tap.
+weights have (O, I, k, k) extents in any memory order, but are fastest
+stored tap-major, with memory holding (O, k, k, I) as ``Conv2d`` keeps
+them: every GEMM then reads the weight, and writes its gradient, in
+that order without a copy. The im2col columns are tap-major too, one
+strided slice copy per tap. The tape keeps no columns. At stride 1
+both gradients come from columns of the output gradient, padded by the
+same k // 2, with the taps reversed, so no flipped kernel is built.
+Strided convs rebuild their columns and scatter the column gradient
+back tap by tap.
 
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
@@ -408,21 +412,41 @@ def _pad(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Columns (C*k*k, ho*wo) of a padded (C, H, W) map.
+    """Tap-major columns (k*k*C, ho*wo) of a padded (C, H, W) map.
 
-    Row (c, ki, kj) holds xp[c, ki + stride*y, kj + stride*x] for every
-    output pixel (y, x). Each tap is one strided slice copy; a 1x1
-    stride-1 conv reads the map itself through a reshape.
+    Row (ki, kj, c) holds xp[c, ki + stride*y, kj + stride*x] for every
+    output pixel (y, x). Each tap is one strided slice copy into a
+    contiguous block; a 1x1 stride-1 conv reads the map itself through
+    a reshape.
     """
     c = xp.shape[0]
     if k == 1 and stride == 1:
         return xp.reshape(c, ho * wo)
-    cols = np.empty((c, k, k, ho, wo), dtype=xp.dtype)
+    cols = np.empty((k, k, c, ho, wo), dtype=xp.dtype)
     for ki in range(k):
         for kj in range(k):
-            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride,
-                                 kj:kj + stride * wo:stride]
-    return cols.reshape(c * k * k, ho * wo)
+            cols[ki, kj] = xp[:, ki:ki + stride * ho:stride,
+                              kj:kj + stride * wo:stride]
+    return cols.reshape(k * k * c, ho * wo)
+
+
+def _grad_cols(gp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """Channel-major columns (O*k*k, h*w) of a padded (O, h+k-1, w+k-1)
+    output gradient with the taps reversed.
+
+    Row (o, ki, kj) holds gp[o, k-1-ki + y, k-1-kj + x] for every input
+    pixel (y, x): the stride-1 conv's transpose is a correlation with
+    the flipped kernel, and reversing the taps here flips it instead.
+    """
+    c = gp.shape[0]
+    if k == 1:
+        return gp.reshape(c, h * w)
+    cols = np.empty((c, k, k, h, w), dtype=gp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            r, s = k - 1 - ki, k - 1 - kj
+            cols[:, ki, kj] = gp[:, r:r + h, s:s + w]
+    return cols.reshape(c * k * k, h * w)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
@@ -430,16 +454,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     (C_out, C_in, k, k) weights, plus a (C_out,) bias.
 
     The map is padded by p = k // 2 on every side, so the output is
-    ceil(H / stride) by ceil(W / stride). The forward runs as im2col
-    plus one GEMM, and the tape keeps no columns at any stride. At
-    stride 1 the output gradient, padded by the same p, goes through
-    the same im2col, and its GEMMs with the flipped kernel and with the
-    input map give the input gradient (a transposed conv) and the
-    flipped weight gradient. At stride > 1 the weight gradient rebuilds
-    the forward columns, and the input gradient re-scatters the column
-    gradient with k*k strided slice additions: a transposed conv there
-    would multiply by the zeros of a gradient dilated by the stride,
-    stride**2 times the FLOPs.
+    ceil(H / stride) by ceil(W / stride). The forward runs as tap-major
+    im2col plus one GEMM with the weight read as (C_out, k*k*C_in): a
+    free view of a tap-major weight, a copy of any other. The tape
+    keeps no columns at any stride. At stride 1 the output gradient,
+    padded by the same p, is spread into columns with the taps
+    reversed; its GEMM with the weight read as (C_out*k*k, C_in),
+    transposed, gives the input gradient (a transposed conv), and its
+    GEMM with the input map gives the weight gradient. At stride > 1
+    the weight gradient rebuilds the forward columns, and the input
+    gradient re-scatters the column gradient with k*k strided slice
+    additions: a transposed conv there would multiply by the zeros of a
+    gradient dilated by the stride, stride**2 times the FLOPs. Either
+    way the weight gradient comes out tap-major, the order a tap-major
+    weight holds.
     """
     _check_same_dtype(x, w, b)
     if x.data.ndim != 3:
@@ -463,7 +491,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     p = kh // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     cols = _im2col(_pad(x.data, p), kh, stride, ho, wo)
-    wm = w.data.reshape(cout, cin * kh * kw)
+    wm = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = wm @ cols
     out += b.data[:, None]
     out_data = out.reshape(cout, ho, wo)
@@ -473,24 +501,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
         if b.requires_grad:
             b._accum(gm.sum(axis=1))
         if stride == 1:
-            gcols = _im2col(_pad(g, p), kh, 1, h, wd)
+            gcols = _grad_cols(_pad(g, p), kh, h, wd)
             if w.requires_grad:
-                dw = (gcols @ x.data.reshape(cin, h * wd).T).reshape(cout, kh, kw, cin)
-                w._accum(dw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+                dw = gcols @ x.data.reshape(cin, h * wd).T
+                w._accum(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
             if x.requires_grad:
-                wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-                x._accum((wf @ gcols).reshape(x.shape))
+                x._accum((wm.reshape(-1, cin).T @ gcols).reshape(x.shape))
             return
         if w.requires_grad:
             cols = _im2col(_pad(x.data, p), kh, stride, ho, wo)
-            w._accum((gm @ cols.T).reshape(w.shape))
+            dw = gm @ cols.T
+            w._accum(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dwin = (wm.T @ gm).reshape(cin, kh, kw, ho, wo)
+            dwin = (wm.T @ gm).reshape(kh, kw, cin, ho, wo)
             dxp = np.zeros((cin, h + 2 * p, wd + 2 * p), dtype=g.dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     dxp[:, ki:ki + stride * ho:stride,
-                        kj:kj + stride * wo:stride] += dwin[:, ki, kj]
+                        kj:kj + stride * wo:stride] += dwin[ki, kj]
             x._accum(dxp[:, p:p + h, p:p + wd])
 
     return Tensor._from_op(out_data, (x, w, b), backward)

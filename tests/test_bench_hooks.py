@@ -1,9 +1,11 @@
 """The traced benchmark's hooks still fit the package.
 
 ``benchmark/spans.py`` patches package attributes by name and counts
-each conv's FLOPs from its weight's (O, I, k, k) extents. A rename or a
-new weight layout would break the traced benchmark without failing any
-package test, so these checks pin both couplings.
+each conv's FLOPs from its weight's (O, I, k, k) extents. Those extents
+hold whatever the memory order: ``Conv2d`` stores its weight tap-major,
+(O, k, k, I) in memory, behind the same (O, I, k, k) shape. A rename
+or a change of the weight's extents would break the traced benchmark
+without failing any package test, so these checks pin both couplings.
 """
 
 import importlib

@@ -252,6 +252,20 @@ class TestEvalCommand:
                      str(dataset), "--config", str(other),
                      "--out", str(tmp_path / "x")]) == 3
 
+    def test_checkpoint_from_another_config_says_so(self, tmp_path, dataset,
+                                                    capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_cfg(cfg)
+        main(["train", "--config", str(cfg), "--data", str(dataset),
+              "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "run" / "model.agfw"),
+                     str(dataset), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.rstrip().endswith(
+            "the checkpoint was likely written under another --config")
+
     def test_untrained_weights_still_evaluate_finite(self, tmp_path, dataset,
                                                      capsys):
         import graphflow.tensor as tt

@@ -9,6 +9,7 @@ import graphflow.tensor as tt
 from graphflow.checks import _op_cases
 from graphflow.errors import ContractError
 from graphflow.gradcheck import gradcheck, rel_err
+from graphflow.layers import Conv2d
 from graphflow.tensor import (Tensor, conv2d, matmul, mul, relu, reshape,
                               softmax, tsum)
 
@@ -73,6 +74,20 @@ class TestHarness:
 
         rep = gradcheck(fn, {"x": x, "w1": w1, "b1": b1, "w2": w2})
         assert rep.max_rel_err < 1e-4
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_fresh_tap_major_conv_weight_is_perturbed_in_place(self, stride):
+        """A fresh Conv2d stores its weight tap-major, so a reshape of it
+        would be a copy: the checker must perturb the weight itself."""
+        with tt.precision(64):
+            rng = np.random.default_rng(31)
+            conv = Conv2d(rng, {}, "c", 3, 4, 3, stride=stride)
+            x = p64(rng.normal(size=(3, 6, 5)))
+            out_w = Tensor(rng.normal(size=conv(x).shape), dtype=np.float64)
+            assert not conv.w.data.flags.c_contiguous
+            rep = gradcheck(lambda: tsum(mul(conv(x), out_w)),
+                            {"x": x, "c.w": conv.w, "c.b": conv.b})
+        assert rep.max_rel_err < 1e-6
 
     def test_relative_error_uses_unit_floor(self):
         assert rel_err(0.0, 0.0) == 0.0

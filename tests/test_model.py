@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphflow.tensor as tt
-from graphflow.checkpoint import save_checkpoint
+from graphflow.checkpoint import load_checkpoint, save_checkpoint
 from graphflow.config import ModelConfig
 from graphflow.counting import conv_flops, count_flops, count_params
 from graphflow.data import FlowField
@@ -16,6 +16,7 @@ from graphflow.layers import Conv2d
 from graphflow.model import (ConvGRU, FlowModel, MotionEncoder,
                              build_corr_pyramid, lookup, sequence_loss,
                              upsample_flow)
+from graphflow.optim import AdamW
 from graphflow.tensor import Tensor, mul, tsum
 
 from oracles import naive_corr_pyramid, naive_lookup, naive_upsample
@@ -390,6 +391,65 @@ class TestCheckpointRoundTrip:
         state.pop("head.conv2.w")
         with pytest.raises(ContractError, match="head.conv2.w"):
             model.load_state(state)
+
+    def test_config_mismatch_points_at_the_config(self, f64):
+        hint = "likely written under another --config$"
+        model = FlowModel(micro_cfg())
+        with pytest.raises(DimensionError, match=hint):
+            model.load_state(FlowModel(micro_cfg(feature_channels=8)).state())
+        with pytest.raises(ContractError, match=hint):
+            model.load_state({**model.state(), "bogus.w": np.zeros(3)})
+
+    @staticmethod
+    def trained(cfg):
+        """A model and optimizer after two updates on random frames."""
+        model = FlowModel(cfg)
+        opt = AdamW(model.params, lr=1e-3)
+        rng = np.random.default_rng(4)
+        i1, i2 = rng.uniform(size=(2, 3, 16, 16))
+        gt = FlowField(flow=rng.normal(size=(2, 16, 16)).astype(np.float32))
+        for _ in range(2):
+            opt.zero_grad()
+            sequence_loss(model.forward(i1, i2), gt).backward()
+            opt.step()
+        return model, opt
+
+    @staticmethod
+    def assert_convs_tap_major(model, opt):
+        convs = [n for n, p in model.params.items() if p.data.ndim == 4]
+        assert convs
+        for name in convs:
+            for arr in (model.params[name].data, opt.m[name], opt.v[name]):
+                assert arr.transpose(0, 2, 3, 1).flags.c_contiguous
+            assert np.shares_memory(model.params[name].data, opt._flat)
+            assert np.shares_memory(opt.m[name], opt._m)
+            assert np.shares_memory(opt.v[name], opt._v)
+
+    def test_conv_weights_stay_tap_major_through_training_and_loads(self):
+        model, opt = self.trained(micro_cfg())
+        self.assert_convs_tap_major(model, opt)
+        entries = {**model.state(), **opt.state_entries()}
+        entries = {k: np.array(v, order="C") for k, v in entries.items()}
+        fresh = FlowModel(micro_cfg(seed=9))
+        fresh_opt = AdamW(fresh.params, lr=1e-3)
+        fresh.load_state(entries)
+        fresh_opt.load_state_entries(entries)
+        self.assert_convs_tap_major(fresh, fresh_opt)
+        for name, p in model.params.items():
+            assert np.array_equal(fresh.params[name].data, p.data)
+            assert np.array_equal(fresh_opt.m[name], opt.m[name])
+
+    def test_trained_state_round_trips_to_identical_bytes(self, tmp_path):
+        model, opt = self.trained(micro_cfg())
+        first, second = tmp_path / "first.agfw", tmp_path / "second.agfw"
+        save_checkpoint(first, {**model.state(), **opt.state_entries()})
+        back = load_checkpoint(first)
+        fresh = FlowModel(micro_cfg(seed=9))
+        fresh_opt = AdamW(fresh.params, lr=1e-3)
+        fresh.load_state(back)
+        fresh_opt.load_state_entries(back)
+        save_checkpoint(second, {**fresh.state(), **fresh_opt.state_entries()})
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestRegistration:

@@ -12,6 +12,7 @@ import graphflow.optim as optim
 import graphflow.tensor as tt
 from graphflow.checkpoint import load_checkpoint, save_checkpoint
 from graphflow.errors import ContractError, FormatError, NumericError
+from graphflow.layers import tap_major
 from graphflow.optim import AdamW, one_cycle_lr
 from graphflow.tensor import Tensor, mul, tsum
 
@@ -156,15 +157,19 @@ FLAT_SHAPES = [(6, 5, 3, 3), (6,), (), (40, 9, 3, 3), (4, 6, 1, 1), (7,)]
 
 
 def shaped_params(shapes, dtype, seed=0):
+    """Parameters drawn C-ordered; p0 is then stored tap-major, as
+    Conv2d stores its weight, and the others stay C-ordered."""
     rng = np.random.default_rng(seed)
-    return {f"p{i}": Tensor(rng.normal(size=s).astype(dtype),
-                            requires_grad=True, dtype=dtype)
-            for i, s in enumerate(shapes)}
+    params = {f"p{i}": Tensor(rng.normal(size=s).astype(dtype),
+                              requires_grad=True, dtype=dtype)
+              for i, s in enumerate(shapes)}
+    params["p0"].data = tap_major(params["p0"].data)
+    return params
 
 
 def step_gradients(shapes, dtype, step):
-    """Gradients for one step; rank-4 ones arrive transposed, as a stride-1
-    conv hands them over, and p4 has none on odd steps."""
+    """Gradients for one step; rank-4 ones arrive tap-major, as conv2d
+    hands them over, and p4 has none on odd steps."""
     rng = np.random.default_rng(100 + step)
     grads = {}
     for i, s in enumerate(shapes):
@@ -210,12 +215,16 @@ class TestFlatAdamW:
             assert np.array_equal(opt.v[name], ref.v[name])
 
     def test_parameters_are_views_of_the_optimizer_buffer(self):
+        """Each view keeps its parameter's memory order: p0 stays
+        tap-major, the others C-ordered."""
         params = shaped_params(FLAT_SHAPES, np.float32)
         before = {n: p.data.copy() for n, p in params.items()}
+        strides = {n: p.data.strides for n, p in params.items()}
+        assert not params["p0"].data.flags.c_contiguous
         opt = AdamW(params, lr=1e-3)
         for name, p in params.items():
             assert np.shares_memory(p.data, opt._flat)
-            assert p.data.flags.c_contiguous
+            assert p.data.strides == strides[name]
             assert np.array_equal(p.data, before[name])
 
     def test_checkpoint_resume_mid_run_stays_bitwise(self, tmp_path):

@@ -13,6 +13,7 @@ from graphflow.tensor import (Tensor, absolute, add, avg_pool2x2, concat,
                               scale, sigmoid, softmax, tanh, transpose, tsum,
                               window_sample)
 from graphflow.gradcheck import gradcheck
+from graphflow.layers import tap_major
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
                      naive_matmul, naive_softmax)
@@ -200,8 +201,9 @@ class TestConv2d:
             w3 = rng.integers(-3, 4, size=(4, 2, 3, 3)).astype(np.float64)
             b = rng.integers(-3, 4, size=4).astype(np.float64)
             w1 = rng.integers(-3, 4, size=(4, 2, 1, 1)).astype(np.float64)
-            for w, stride in itertools.product((w3, w1), (1, 2)):
-                out = conv2d(c64(x), c64(w), c64(b), stride=stride)
+            for w, stride, order in itertools.product(
+                    (w3, w1), (1, 2), (np.ascontiguousarray, tap_major)):
+                out = conv2d(c64(x), c64(order(w)), c64(b), stride=stride)
                 assert np.array_equal(out.data, naive_conv2d(
                     x, w, b, stride=stride, padding=w.shape[2] // 2))
 
@@ -209,11 +211,13 @@ class TestConv2d:
         # at stride 1 the input gradient pads the output gradient by the
         # same k // 2 as the forward pads the input: 1 at k = 3, 0 at k = 1
         rng = np.random.default_rng(10)
-        for hw, k, stride in itertools.product(((8, 8), (5, 7)), (1, 3), (1, 2)):
+        for hw, k, stride, order in itertools.product(
+                ((8, 8), (5, 7)), (1, 3), (1, 2),
+                (np.ascontiguousarray, tap_major)):
             xd = rng.integers(-3, 4, size=(2, *hw)).astype(np.float64)
             wd = rng.integers(-3, 4, size=(4, 2, k, k)).astype(np.float64)
             bd = rng.integers(-3, 4, size=4).astype(np.float64)
-            x, w, b = p64(xd), p64(wd), p64(bd)
+            x, w, b = p64(xd), p64(order(wd)), p64(bd)
             out = conv2d(x, w, b, stride=stride)
             g = rng.integers(-3, 4, size=out.shape).astype(np.float64)
             tsum(mul(out, c64(g))).backward()
@@ -222,6 +226,21 @@ class TestConv2d:
             assert np.array_equal(x.grad, dx)
             assert np.array_equal(w.grad, dw)
             assert np.array_equal(b.grad, db)
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+    def test_weight_gradient_keeps_the_tap_major_order(self, k, stride):
+        """A tap-major weight gets a tap-major gradient from one use and
+        summed over two, so the optimizer reads it sequentially."""
+        rng = np.random.default_rng(13)
+        x = p64(rng.normal(size=(3, 6, 5)))
+        w = p64(tap_major(rng.normal(size=(4, 3, k, k))))
+        b = c64(np.zeros(4))
+        for uses in (1, 2):
+            w.grad = None
+            outs = [conv2d(x, w, b, stride=stride) for _ in range(uses)]
+            tsum(outs[0] if uses == 1 else add(*outs)).backward()
+            assert w.grad.shape == (4, 3, k, k)
+            assert w.grad.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(12)
@@ -395,27 +414,32 @@ class TestBackward:
 
     def test_backward_frees_the_conv_columns(self, monkeypatch):
         """No conv keeps columns on the tape: a stride-1 conv takes both
-        gradients from the output gradient's im2col, and a strided conv
-        rebuilds its columns in backward() for the weight gradient."""
-        made = []
-        im2col = tt._im2col
+        gradients from the output gradient's tap-reversed columns, and a
+        strided conv rebuilds its columns in backward() for the weight
+        gradient."""
+        made = {"_im2col": [], "_grad_cols": []}
 
-        def recording_im2col(*args):
-            cols = im2col(*args)
-            made.append(weakref.ref(cols))
-            return cols
+        def recording(builder):
+            def build(*args):
+                cols = builder(*args)
+                made[builder.__name__].append(weakref.ref(cols))
+                return cols
+            return build
 
-        monkeypatch.setattr(tt, "_im2col", recording_im2col)
+        for name in made:
+            monkeypatch.setattr(tt, name, recording(getattr(tt, name)))
         rng = np.random.default_rng(5)
         x = p64(rng.normal(size=(2, 5, 5)))
         w = p64(rng.normal(size=(3, 2, 3, 3)))
         w2 = p64(rng.normal(size=(4, 3, 3, 3)))
         y = conv2d(x, w, c64(np.zeros(3)))
-        assert made[0]() is None
+        assert made["_im2col"][0]() is None
         loss = tsum(conv2d(y, w2, c64(np.zeros(4)), stride=2))
-        assert made[1]() is None
+        assert made["_im2col"][1]() is None
         loss.backward()
-        assert all(ref() is None for ref in made)
+        assert len(made["_im2col"]) == 3      # the strided conv rebuilt its
+        assert len(made["_grad_cols"]) == 1   # columns; the stride-1 one did not
+        assert all(ref() is None for refs in made.values() for ref in refs)
 
     def test_interior_gradients_are_dropped(self):
         x = p64([1.0, 2.0])
