@@ -45,7 +45,11 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as name -> float32 array, insertion-ordered."""
+    """Read a checkpoint back as name -> float32 array, insertion-ordered.
+
+    Every value must be finite: an entry holding NaN or an infinity is a
+    ``FormatError`` that names it, so no run starts from one.
+    """
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"checkpoint not found: {path}")
@@ -93,6 +97,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 f"{path}: entry {name!r} values truncated at byte {pos} "
                 f"(need {nbytes} bytes)")
         arr = np.frombuffer(blob, dtype="<f4", count=size, offset=pos)
+        if not np.isfinite(arr).all():
+            raise FormatError(
+                f"{path}: entry {name!r} holds NaN or infinite values")
         out[name] = arr.reshape(shape).copy()
         pos += nbytes
     if pos != len(blob):

@@ -7,7 +7,9 @@ weight stays tap-major), that later writes fill in place, as
 ``FlowModel.load_state`` does; the moments are flat buffers of the same
 layout. A step first checks every parameter and raises before anything
 moves: ``ContractError`` for one rebound off its view, ``NumericError``
-for a non-finite gradient (the training loop's gradient check). It then
+for a non-finite gradient (the training loop's gradient check: one BLAS
+sum of squares per gradient, and an elementwise pass only when that sum
+is not finite). It then
 reads each gradient once into scratch laid out in each parameter's
 memory order and runs the update over spans of consecutive parameters,
 so the ufunc sequence is the per-parameter one, element for element,
@@ -91,15 +93,22 @@ class AdamW:
 
     def step(self, lr: float | None = None) -> None:
         """One update of every parameter that holds a gradient."""
-        for group in self._groups:
-            for name, p, view, *_ in group:
-                if p.data is not view:
-                    raise ContractError(
-                        f"parameter {name} was rebound off the optimizer's "
-                        f"buffer; write into p.data in place instead")
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise NumericError(f"gradient of {name} became "
-                                       f"non-finite at step {self.t}")
+        # a finite gradient's sum of squares can overflow, so a sum that
+        # is not finite is settled elementwise
+        with np.errstate(over="ignore"):
+            for group in self._groups:
+                for name, p, view, *_ in group:
+                    if p.data is not view:
+                        raise ContractError(
+                            f"parameter {name} was rebound off the optimizer's "
+                            f"buffer; write into p.data in place instead")
+                    if p.grad is None:
+                        continue
+                    flat = np.ravel(p.grad, order="K")
+                    if (not np.isfinite(np.dot(flat, flat))
+                            and not np.isfinite(flat).all()):
+                        raise NumericError(f"gradient of {name} became "
+                                           f"non-finite at step {self.t}")
         if lr is not None:
             self.lr = lr
         self.t += 1

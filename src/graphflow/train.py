@@ -160,7 +160,9 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
     """Score a checkpoint over the manifest; writes ``eval.tsv``.
 
     The aggregate numbers weight each pair by its valid-pixel count, so
-    they equal the metrics over the pooled pixel population.
+    they equal the metrics over the pooled pixel population. A
+    prediction that is not finite raises ``NumericError`` naming its
+    pair, since a NaN error would score as no outlier at all.
     """
     cfg.validate()
     if not cfg.data:
@@ -178,7 +180,12 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
         with no_grad(), open(out_dir / "eval.tsv", "w") as log:
             log.write("pair\tepe\tf1_all\tpixels\n")
             for pair_id, frame1, frame2, gt in pairs:
-                pred = model.predict(frame2, frame1)
+                # a prediction that overflows is reported below, once
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pred = model.predict(frame2, frame1)
+                if not np.isfinite(pred.flow).all():
+                    raise NumericError(
+                        f"prediction for pair {pair_id} is not finite")
                 pair_epe = epe(pred.flow, gt)
                 pair_f1 = f1_all(pred.flow, gt)
                 count = int(gt.valid_mask().sum())

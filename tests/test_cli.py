@@ -285,6 +285,71 @@ class TestEvalCommand:
         assert np.isfinite(float(final[1]))
 
 
+class TestNonFiniteCheckpoints:
+    """A checkpoint is refused at load when an entry holds NaN or an
+    infinity, and a finite one whose prediction overflows is refused at
+    scoring; each ends in one line, with no numpy warning."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, dataset):
+        cfg = tmp_path / "run.cfg"
+        write_run_cfg(cfg)
+        main(["train", "--config", str(cfg), "--data", str(dataset),
+              "--out", str(tmp_path / "run")])
+        return cfg, tmp_path / "run" / "step_000002.agfw"
+
+    @staticmethod
+    def edited(src, dest, name, edit):
+        from graphflow.checkpoint import load_checkpoint, save_checkpoint
+        entries = load_checkpoint(src)
+        edit(entries[name])
+        save_checkpoint(dest, entries)
+        return dest
+
+    @staticmethod
+    def one_nan(w):
+        w.flat[0] = np.nan
+
+    def test_eval_of_a_nan_checkpoint_is_a_data_error(
+            self, tmp_path, dataset, trained, capsys, recwarn):
+        cfg, ckpt = trained
+        bad = self.edited(ckpt, tmp_path / "nan.agfw", "head.conv2.w",
+                          self.one_nan)
+        capsys.readouterr()
+        assert main(["eval", str(bad), str(dataset), "--config", str(cfg),
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'head.conv2.w'" in err
+        assert not (tmp_path / "e" / "eval.tsv").exists()
+        assert not recwarn.list
+
+    def test_resume_from_a_nan_checkpoint_is_a_data_error(
+            self, tmp_path, dataset, trained, capsys, recwarn):
+        cfg, ckpt = trained
+        bad = self.edited(ckpt, tmp_path / "nan.agfw", "head.conv2.w",
+                          self.one_nan)
+        resume = tmp_path / "resume.cfg"
+        write_run_cfg(resume, extra=f"resume = {bad}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(resume), "--data", str(dataset),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'head.conv2.w'" in err
+        assert not recwarn.list
+
+    def test_prediction_that_overflows_is_a_numeric_error(
+            self, tmp_path, dataset, trained, capsys, recwarn):
+        cfg, ckpt = trained
+        huge = self.edited(ckpt, tmp_path / "huge.agfw", "head.conv2.b",
+                           lambda b: b.fill(3e38))
+        capsys.readouterr()
+        assert main(["eval", str(huge), str(dataset), "--config", str(cfg),
+                     "--out", str(tmp_path / "e")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: prediction for pair pair_0000 is not finite\n"
+        assert not recwarn.list
+
+
 class TestViz:
     def test_zero_field_renders_a_white_image(self, tmp_path, capsys):
         from graphflow.data import FlowField, write_flo

@@ -293,6 +293,27 @@ class TestFlatAdamW:
             opt.step(lr=5e-2)
         self.assert_untouched(opt, params, before)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_gradient_whose_squares_overflow_is_still_finite(self):
+        """Entries of 1e30 square past float32's range, so the check's sum
+        of squares overflows; the gradient is finite and the update runs,
+        bitwise as the per-parameter one."""
+        ref_params = shaped_params(FLAT_SHAPES, np.float32)
+        flat_params = shaped_params(FLAT_SHAPES, np.float32)
+        ref = ReferenceAdamW(ref_params, lr=3e-3, weight_decay=1e-2)
+        opt = AdamW(flat_params, lr=3e-3, weight_decay=1e-2)
+        for params, o in ((ref_params, ref), (flat_params, opt)):
+            self.run_steps(o, params, range(2))
+            for name, g in step_gradients(FLAT_SHAPES, np.float32, 2).items():
+                params[name].grad = g
+            params["p3"].grad[0, 1] = 1e30
+            params["p5"].grad[:] = -1e30
+            o.step()
+        for name in ref_params:
+            assert np.array_equal(flat_params[name].data, ref_params[name].data)
+            assert np.array_equal(opt.m[name], ref.m[name])
+            assert np.array_equal(opt.v[name], ref.v[name])
+
     def test_mixed_dtypes_are_rejected(self):
         params = {"a": Tensor(np.zeros(2), dtype=np.float32),
                   "b": Tensor(np.zeros(2), dtype=np.float64)}
@@ -451,6 +472,17 @@ class TestCheckpointContainer:
         path = tmp_path / "o.agfw"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=r"'a\.w' at byte 39"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_rejected_by_name(self, tmp_path, bad):
+        values = np.ones(4, np.float32)
+        values[2] = bad
+        path = tmp_path / "nf.agfw"
+        save_checkpoint(path, {"a.w": np.zeros(2, np.float32),
+                               "head.conv2.w": values})
+        with pytest.raises(FormatError,
+                           match=r"entry 'head\.conv2\.w' holds NaN or inf"):
             load_checkpoint(path)
 
     def test_insertion_order_is_preserved(self, tmp_path):

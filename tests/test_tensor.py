@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
@@ -208,8 +210,7 @@ class TestConv2d:
                     x, w, b, stride=stride, padding=w.shape[2] // 2))
 
     def test_backward_matches_loop_adjoints_exactly(self):
-        # at stride 1 the input gradient pads the output gradient by the
-        # same k // 2 as the forward pads the input: 1 at k = 3, 0 at k = 1
+        # same padding: the oracles pad by k // 2, 1 at k = 3 and 0 at k = 1
         rng = np.random.default_rng(10)
         for hw, k, stride, order in itertools.product(
                 ((8, 8), (5, 7)), (1, 3), (1, 2),
@@ -242,6 +243,29 @@ class TestConv2d:
             assert w.grad.shape == (4, 3, k, k)
             assert w.grad.transpose(0, 2, 3, 1).flags.c_contiguous
 
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (5, 1), (2, 3), (4, 4)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("cin,cout", [(3, 2), (2, 3)])
+    def test_stride_one_on_small_maps_matches_the_oracles_exactly(
+            self, hw, k, cin, cout):
+        """Maps as thin as one row or column, and kernels wider than the
+        map, where the flat shifts run off it altogether."""
+        rng = np.random.default_rng([k, cin, *hw])
+        xd = rng.integers(-3, 4, size=(cin, *hw)).astype(np.float64)
+        wd = rng.integers(-3, 4, size=(cout, cin, k, k)).astype(np.float64)
+        bd = rng.integers(-3, 4, size=cout).astype(np.float64)
+        g = rng.integers(-3, 4, size=(cout, *hw)).astype(np.float64)
+        dx, dw, db = naive_conv2d_backward(xd, wd, g, padding=k // 2)
+        for order in (np.ascontiguousarray, tap_major):
+            x, w, b = p64(xd), p64(order(wd)), p64(bd)
+            out = conv2d(x, w, b)
+            assert np.array_equal(out.data, naive_conv2d(xd, wd, bd,
+                                                         padding=k // 2))
+            tsum(mul(out, c64(g))).backward()
+            assert np.array_equal(x.grad, dx)
+            assert np.array_equal(w.grad, dw)
+            assert np.array_equal(b.grad, db)
+
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(12)
         x = p64(rng.normal(size=(2, 6, 6)))
@@ -258,6 +282,41 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(c64(np.zeros((1, 4, 4))), c64(np.zeros((1, 1, 2, 2))),
                    c64(np.zeros(1)))
+
+
+def padded_im2col(x, k):
+    """Stride-1 tap-major columns sliced from a zero-padded copy."""
+    c, h, w = x.shape
+    p = k // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x
+    return np.stack([xp[:, ki:ki + h, kj:kj + w]
+                     for ki in range(k) for kj in range(k)]).reshape(-1, h * w)
+
+
+def padded_grad_cols(g, k):
+    """Channel-major columns of a zero-padded copy, taps reversed."""
+    o, h, w = g.shape
+    p = k // 2
+    gp = np.zeros((o, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    gp[:, p:p + h, p:p + w] = g
+    return np.stack([gp[:, k - 1 - ki:k - 1 - ki + h, k - 1 - kj:k - 1 - kj + w]
+                     for ki in range(k) for kj in range(k)],
+                    axis=1).reshape(-1, h * w)
+
+
+class TestStrideOneColumns:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(c=st.integers(1, 4), h=st.integers(1, 7), w=st.integers(1, 7),
+           k=st.sampled_from([1, 3, 5, 7]), seed=st.integers(0, 2**16))
+    def test_flat_shifts_match_padded_slices_bit_for_bit(self, c, h, w, k,
+                                                          seed):
+        x = np.random.default_rng(seed).standard_normal(
+            (c, h, w)).astype(np.float32)
+        assert tt._im2col(x, k, 1).tobytes() == padded_im2col(x, k).tobytes()
+        assert (tt._grad_cols(x, k).tobytes()
+                == padded_grad_cols(x, k).tobytes())
 
 
 class TestSoftmax:
@@ -416,8 +475,16 @@ class TestBackward:
         """No conv keeps columns on the tape: a stride-1 conv takes both
         gradients from the output gradient's tap-reversed columns, and a
         strided conv rebuilds its columns in backward() for the weight
-        gradient."""
+        gradient. Only the strided conv pads a copy of its input; the
+        stride-1 one shifts its map and its gradient unpadded."""
         made = {"_im2col": [], "_grad_cols": []}
+        padded = []
+
+        def pad(a, p, pad=tt._pad):
+            padded.append(a)
+            return pad(a, p)
+
+        monkeypatch.setattr(tt, "_pad", pad)
 
         def recording(builder):
             def build(*args):
@@ -434,12 +501,16 @@ class TestBackward:
         w2 = p64(rng.normal(size=(4, 3, 3, 3)))
         y = conv2d(x, w, c64(np.zeros(3)))
         assert made["_im2col"][0]() is None
+        assert padded == []                   # the stride-1 forward
         loss = tsum(conv2d(y, w2, c64(np.zeros(4)), stride=2))
         assert made["_im2col"][1]() is None
         loss.backward()
         assert len(made["_im2col"]) == 3      # the strided conv rebuilt its
         assert len(made["_grad_cols"]) == 1   # columns; the stride-1 one did not
         assert all(ref() is None for refs in made.values() for ref in refs)
+        # one pad per strided column build, each of the strided conv's
+        # input; the stride-1 backward padded no gradient
+        assert len(padded) == 2 and all(a is y.data for a in padded)
 
     def test_interior_gradients_are_dropped(self):
         x = p64([1.0, 2.0])
