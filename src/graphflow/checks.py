@@ -21,8 +21,8 @@ from .graph import GraphBlock
 from .layers import tap_major
 from .model import FlowModel, sequence_loss
 from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv2d,
-                     l2_normalize, matmul, mul, relu, reshape, scale, sigmoid,
-                     softmax, tanh, transpose, tsum, window_sample)
+                     conv_gru, l2_normalize, matmul, mul, relu, reshape, scale,
+                     sigmoid, softmax, tanh, transpose, tsum, window_sample)
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -139,6 +139,18 @@ def _op_cases(rng):
     ww = _weights(rng, (9, 3))
     case("window_sample", {"vol": wv, "centers": wc},
          lambda: tsum(mul(window_sample(wv, wc, 1), ww)))
+
+    # a cell of 2 state and 3 input channels with tap-major gate weights,
+    # scaled so the gates do not saturate
+    gh, gx = _param(rng, (2, 3, 4)), _param(rng, (3, 3, 4))
+    gates = {}
+    for gate in "zrq":
+        gw = _param(rng, (2, 5, 3, 3))
+        gw.data = tap_major(0.3 * gw.data)
+        gates[f"w{gate}"], gates[f"b{gate}"] = gw, _param(rng, (2,))
+    gruw = _weights(rng, (2, 3, 4))
+    case("conv_gru", {"hidden": gh, "x": gx, **gates},
+         lambda: tsum(mul(conv_gru(gh, gx, *gates.values()), gruw)))
 
     return cases
 

@@ -23,9 +23,9 @@ from .data import FlowField
 from .errors import ConfigError, ContractError, DimensionError
 from .graph import GraphBlock
 from .layers import Conv2d
-from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, matmul, mul,
-                     no_grad, relu, reshape, scale, sigmoid, tanh, transpose,
-                     tsum, window_sample)
+from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv_gru,
+                     matmul, mul, no_grad, relu, reshape, scale, tanh,
+                     transpose, tsum, window_sample)
 
 PYRAMID_LEVELS = 4
 GAMMA = 0.8          # sequence-loss decay toward earlier iterations
@@ -91,7 +91,12 @@ class MotionEncoder:
 
 
 class ConvGRU:
-    """Gated state update; input is the fused (2C) feature map."""
+    """Gated state update; input is the fused (2C) feature map.
+
+    The cell is one ``conv_gru`` op: the z and r gates share one column
+    build of [hidden; x], and the candidate q rewrites only its hidden
+    rows. The three gate convs keep their own parameters.
+    """
 
     def __init__(self, rng, params, prefix, hidden, input_ch):
         both = hidden + input_ch
@@ -108,12 +113,8 @@ class ConvGRU:
         return tanh(self.init_conv(context))
 
     def __call__(self, hidden, x):
-        hx = concat([hidden, x])
-        z = sigmoid(self.convz(hx))
-        r = sigmoid(self.convr(hx))
-        q = tanh(self.convq(concat([mul(r, hidden), x])))
-        one_minus_z = add(scale(z, -1.0), Tensor(1.0, dtype=z.dtype))
-        return add(mul(one_minus_z, hidden), mul(z, q))
+        return conv_gru(hidden, x, self.convz.w, self.convz.b, self.convr.w,
+                        self.convr.b, self.convq.w, self.convq.b)
 
 
 class FlowHead:

@@ -7,9 +7,10 @@ weight stays tap-major), that later writes fill in place, as
 ``FlowModel.load_state`` does; the moments are flat buffers of the same
 layout. A step first checks every parameter and raises before anything
 moves: ``ContractError`` for one rebound off its view, ``NumericError``
-for a non-finite gradient (the training loop's gradient check: one BLAS
-sum of squares per gradient, and an elementwise pass only when that sum
-is not finite). It then
+for a non-finite gradient or one with an entry whose square overflows,
+which would make its second moment infinite and freeze that weight (the
+training loop's gradient check: one BLAS sum of squares per gradient,
+and elementwise passes only when that sum is not finite). It then
 reads each gradient once into scratch laid out in each parameter's
 memory order and runs the update over spans of consecutive parameters,
 so the ufunc sequence is the per-parameter one, element for element,
@@ -105,10 +106,17 @@ class AdamW:
                     if p.grad is None:
                         continue
                     flat = np.ravel(p.grad, order="K")
-                    if (not np.isfinite(np.dot(flat, flat))
-                            and not np.isfinite(flat).all()):
+                    if np.isfinite(np.dot(flat, flat)):
+                        continue
+                    if not np.isfinite(flat).all():
                         raise NumericError(f"gradient of {name} became "
                                            f"non-finite at step {self.t}")
+                    # an entry whose square overflows makes its v inf,
+                    # and the update then leaves that weight frozen
+                    if not np.isfinite(flat * flat).all():
+                        raise NumericError(
+                            f"gradient of {name} has an entry whose square "
+                            f"overflows {flat.dtype} at step {self.t}")
         if lr is not None:
             self.lr = lr
         self.t += 1

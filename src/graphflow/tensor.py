@@ -44,6 +44,13 @@ flipped kernel is built. Strided convs copy one strided slice of a
 padded map per tap, rebuild their columns in the backward, and scatter
 the column gradient back tap by tap.
 
+``conv_gru`` is one ConvGRU cell as a single op. Its z and r gates
+read one stride-1 column build of [hidden; x], and the candidate gate
+reads the same buffer after only its hidden rows are rewritten with
+r * hidden, so a cell builds its columns once and is one tape node. It
+does the composed conv2d, sigmoid, tanh, mul and add arithmetic in
+their order, and its values and gradients are bitwise theirs.
+
 The correlation lookup's op, ``window_sample``, gathers one integer
 window per pixel and pyramid level from a zero-padded copy of the
 level. It blends the window separably, as a lerp along x and then one
@@ -261,12 +268,15 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     # split on sign so exp never overflows
     e = np.exp(-np.abs(d))
-    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out_data = out_data.astype(d.dtype, copy=False)
+    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out.astype(d.dtype, copy=False)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = _sigmoid(x.data)
 
     def backward(g):
         x._accum(g * out_data * (1.0 - out_data))
@@ -513,6 +523,57 @@ def _grad_cols(g: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(c * k * k, h * w)
 
 
+def _check_conv(op: str, x_shape: tuple, w: Tensor, b: Tensor) -> int:
+    """Validate a (C_out, C_in, k, k) weight of odd square k against a
+    (C_in, H, W) input and its (C_out,) bias; return k."""
+    if w.data.ndim != 4:
+        raise DimensionError(f"{op} weight must be (O,I,k,k), got {w.shape}")
+    cout, cin, kh, kw = w.shape
+    if kh != kw:
+        raise DimensionError(f"{op} kernel must be square, got {kh}x{kw}")
+    if kh % 2 != 1:
+        raise DimensionError(f"{op} kernel extent must be odd, got {kh}")
+    if cin != x_shape[0]:
+        raise DimensionError(
+            f"{op} channel mismatch: input {x_shape} vs weight {w.shape}")
+    if b.shape != (cout,):
+        raise DimensionError(f"{op} bias must be ({cout},), got {b.shape}")
+    return kh
+
+
+def _weight_matrix(w: Tensor) -> np.ndarray:
+    """The (C_out, k*k*C_in) tap-major matrix of a conv weight: a free
+    view of a tap-major weight, a copy of any other."""
+    return w.data.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
+def _affine(wm: np.ndarray, cols: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """wm @ cols plus the bias of each output row."""
+    out = wm @ cols
+    out += b[:, None]
+    return out
+
+
+def _conv_grads(g: np.ndarray, xm: np.ndarray, wm: np.ndarray, w: Tensor,
+                b: Tensor, need_dx: bool) -> np.ndarray | None:
+    """A stride-1 conv's backward from its (C_out, h, w) output gradient.
+
+    Accumulates the bias and weight gradients, the latter from the
+    (C_in, h*w) input map ``xm``, and returns the (C_in, h*w) input
+    gradient when ``need_dx``: the gradient's columns (``_grad_cols``)
+    in one GEMM with ``xm`` and one with the weight matrix ``wm`` read
+    as (C_out*k*k, C_in), transposed.
+    """
+    cout, cin, k, _ = w.shape
+    if b.requires_grad:
+        b._accum(g.reshape(cout, -1).sum(axis=1))
+    gcols = _grad_cols(g, k)
+    if w.requires_grad:
+        dw = gcols @ xm.T
+        w._accum(dw.reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
+    return wm.reshape(-1, cin).T @ gcols if need_dx else None
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     """Same-padded 2-D cross-correlation of one (C_in, H, W) map with
     (C_out, C_in, k, k) weights, plus a (C_out,) bias.
@@ -526,68 +587,129 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     columns by flat shifts (``_shift_taps``), the gradient with its taps
     reversed. The gradient's columns, in a GEMM with the weight read as
     (C_out*k*k, C_in), transposed, give the input gradient (a transposed
-    conv), and in a GEMM with the input map the weight gradient. At
-    stride > 1
-    the weight gradient rebuilds the forward columns, and the input
-    gradient re-scatters the column gradient with k*k strided slice
-    additions: a transposed conv there would multiply by the zeros of a
-    gradient dilated by the stride, stride**2 times the FLOPs. Either
-    way the weight gradient comes out tap-major, the order a tap-major
-    weight holds.
+    conv), and in a GEMM with the input map the weight gradient
+    (``_conv_grads``). At stride > 1 the weight gradient rebuilds the
+    forward columns, and the input gradient re-scatters the column
+    gradient with k*k strided slice additions: a transposed conv there
+    would multiply by the zeros of a gradient dilated by the stride,
+    stride**2 times the FLOPs. Either way the weight gradient comes out
+    tap-major, the order a tap-major weight holds.
     """
     _check_same_dtype(x, w, b)
     if x.data.ndim != 3:
         raise DimensionError(f"conv2d input must be (C,H,W), got {x.shape}")
-    if w.data.ndim != 4:
-        raise DimensionError(f"conv2d weight must be (O,I,k,k), got {w.shape}")
-    cout, cin, kh, kw = w.shape
-    if kh != kw:
-        raise DimensionError(f"conv2d kernel must be square, got {kh}x{kw}")
-    if kh % 2 != 1:
-        raise DimensionError(f"conv2d kernel extent must be odd, got {kh}")
-    if cin != x.shape[0]:
-        raise DimensionError(
-            f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
+    k = _check_conv("conv2d", x.shape, w, b)
     if stride < 1:
         raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if b.shape != (cout,):
-        raise DimensionError(f"conv2d bias must be ({cout},), got {b.shape}")
 
+    cout, cin, _, _ = w.shape
     _, h, wd = x.shape
-    p = kh // 2
+    p = k // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    cols = _im2col(x.data, kh, stride)
-    wm = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = wm @ cols
-    out += b.data[:, None]
-    out_data = out.reshape(cout, ho, wo)
+    wm = _weight_matrix(w)
+    out_data = _affine(wm, _im2col(x.data, k, stride), b.data).reshape(
+        cout, ho, wo)
 
     def backward(g):
+        if stride == 1:
+            dx = _conv_grads(g, x.data.reshape(cin, h * wd), wm, w, b,
+                             x.requires_grad)
+            if dx is not None:
+                x._accum(dx.reshape(x.shape))
+            return
         gm = g.reshape(cout, ho * wo)
         if b.requires_grad:
             b._accum(gm.sum(axis=1))
-        if stride == 1:
-            gcols = _grad_cols(g, kh)
-            if w.requires_grad:
-                dw = gcols @ x.data.reshape(cin, h * wd).T
-                w._accum(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-            if x.requires_grad:
-                x._accum((wm.reshape(-1, cin).T @ gcols).reshape(x.shape))
-            return
         if w.requires_grad:
-            cols = _im2col(x.data, kh, stride)
+            cols = _im2col(x.data, k, stride)
             dw = gm @ cols.T
-            w._accum(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+            w._accum(dw.reshape(cout, k, k, cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dwin = (wm.T @ gm).reshape(kh, kw, cin, ho, wo)
+            dwin = (wm.T @ gm).reshape(k, k, cin, ho, wo)
             dxp = np.zeros((cin, h + 2 * p, wd + 2 * p), dtype=g.dtype)
-            for ki in range(kh):
-                for kj in range(kw):
+            for ki in range(k):
+                for kj in range(k):
                     dxp[:, ki:ki + stride * ho:stride,
                         kj:kj + stride * wo:stride] += dwin[ki, kj]
             x._accum(dxp[:, p:p + h, p:p + wd])
 
     return Tensor._from_op(out_data, (x, w, b), backward)
+
+
+def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
+             br: Tensor, wq: Tensor, bq: Tensor) -> Tensor:
+    """One ConvGRU cell over a (c, H, W) state and a (C_x, H, W) input.
+
+    With hx = [hidden; x] stacked on the channel axis and every conv
+    stride-1 and same-padded as in ``conv2d``, with (c, c + C_x, k, k)
+    weights:
+
+        z = sigmoid(conv(hx; wz, bz))     r = sigmoid(conv(hx; wr, br))
+        q = tanh(conv([r * hidden; x]; wq, bq))
+        out = (1 - z) * hidden + z * q
+
+    The tap-major columns of hx are built once, and the z and r GEMMs
+    both read them. The q GEMM reads the same buffer after only its
+    hidden rows are rewritten with the shifts of r * hidden, so a cell
+    builds one (c + C_x)-channel column buffer plus a c-channel rewrite
+    instead of three full ones, and is one tape node. The tape keeps no
+    columns. The backward is each gate's stride-1 conv backward
+    (``_conv_grads``), and the z and r input gradients are summed
+    before they split into hidden and x. Forward and backward do the
+    arithmetic of the composed conv2d, sigmoid, tanh, mul and add ops in
+    their order, and the hidden gradient adds its three terms in the
+    order the composed graph's backward walk would, so the cell and its
+    gradients are bitwise theirs.
+    """
+    _check_same_dtype(hidden, x, wz, bz, wr, br, wq, bq)
+    if hidden.data.ndim != 3 or x.data.ndim != 3 \
+            or hidden.shape[1:] != x.shape[1:]:
+        raise DimensionError(
+            f"conv_gru needs a (c,H,W) state and a (C,H,W) input on one "
+            f"grid, got {hidden.shape} and {x.shape}")
+    c, h, wd = hidden.shape
+    both = c + x.shape[0]
+    k = _check_conv("conv_gru", (both, h, wd), wz, bz)
+    for w, b in ((wz, bz), (wr, br), (wq, bq)):
+        if w.shape != (c, both, k, k) or b.shape != (c,):
+            raise DimensionError(
+                f"conv_gru gates need ({c}, {both}, {k}, {k}) weights and "
+                f"({c},) biases, got {w.shape} and {b.shape}")
+
+    n = h * wd
+    hx = np.concatenate([hidden.data, x.data]).reshape(both, n)
+    cols = np.empty((k, k, both, n), dtype=hx.dtype)
+    _shift_taps(cols, hx, h, wd)
+    cm = cols.reshape(k * k * both, n)
+    wmz, wmr, wmq = _weight_matrix(wz), _weight_matrix(wr), _weight_matrix(wq)
+    z = _sigmoid(_affine(wmz, cm, bz.data)).reshape(c, h, wd)
+    r = _sigmoid(_affine(wmr, cm, br.data)).reshape(c, h, wd)
+    rh = r * hidden.data
+    _shift_taps(cols[:, :, :c], rh.reshape(c, n), h, wd)
+    q = np.tanh(_affine(wmq, cm, bq.data)).reshape(c, h, wd)
+    out_data = (1.0 - z) * hidden.data + z * q
+
+    def backward(g):
+        hd = hidden.data
+        need_in = hidden.requires_grad or x.requires_grad
+        gz = g * q + (g * hd) * -1.0        # via z * q, then via 1 - z
+        qin = np.concatenate([rh, x.data]).reshape(both, n)
+        dqin = _conv_grads((g * z) * (1.0 - q * q), qin, wmq, wq, bq, True)
+        grh = dqin[:c].reshape(c, h, wd)
+        dhx = _conv_grads(grh * hd * r * (1.0 - r), hx, wmr, wr, br, need_in)
+        dhx_z = _conv_grads(gz * z * (1.0 - z), hx, wmz, wz, bz, need_in)
+        if not need_in:
+            return
+        dhx = dhx + dhx_z
+        if hidden.requires_grad:
+            # via r * hidden, then (1 - z) * hidden, then the z and r convs
+            hidden._accum((grh * r + g * (1.0 - z))
+                          + dhx[:c].reshape(c, h, wd))
+        if x.requires_grad:
+            x._accum((dqin[c:] + dhx[c:]).reshape(x.shape))
+
+    return Tensor._from_op(out_data, (hidden, x, wz, bz, wr, br, wq, bq),
+                           backward)
 
 
 def avg_pool2x2(x: Tensor) -> Tensor:

@@ -119,23 +119,26 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
                 total = None
                 preds = None
                 gt = None
-                for item in range(cfg.batch_size):
-                    idx = (step * cfg.batch_size + item) % len(pairs)
-                    _, frame1, frame2, gt = pairs[idx]
-                    preds = model.forward(frame2, frame1)
-                    loss = sequence_loss(preds, gt)
-                    total = loss if total is None else add(total, loss)
-                if cfg.batch_size > 1:
-                    total = scale(total, 1.0 / cfg.batch_size)
-                value = float(total.data)
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"loss became non-finite at step {step}")
+                # a diverging step is reported once, by the loss check
+                # or the optimizer's gradient check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for item in range(cfg.batch_size):
+                        idx = (step * cfg.batch_size + item) % len(pairs)
+                        _, frame1, frame2, gt = pairs[idx]
+                        preds = model.forward(frame2, frame1)
+                        loss = sequence_loss(preds, gt)
+                        total = loss if total is None else add(total, loss)
+                    if cfg.batch_size > 1:
+                        total = scale(total, 1.0 / cfg.batch_size)
+                    value = float(total.data)
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"loss became non-finite at step {step}")
+                    total.backward()
+                    opt.step(lr=lr)
                 if step == start_step:
                     first_loss = value
                 last_loss = value
-                total.backward()
-                opt.step(lr=lr)
                 done = step + 1
                 if done % cfg.log_interval == 0 or done == cfg.steps:
                     train_epe = epe(preds[-1].data, gt)

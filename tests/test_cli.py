@@ -203,6 +203,19 @@ class TestTrain:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_diverging_run_ends_in_one_line_and_no_warning(
+            self, tmp_path, dataset, capsys, recwarn):
+        """Weights blown up by the first update overflow in the next
+        forward pass; the loss check reports that, and numpy says nothing."""
+        cfg = tmp_path / "run.cfg"
+        write_run_cfg(cfg, extra="peak_lr = 1e30\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == \
+            "error: loss became non-finite at step 1\n"
+        assert not recwarn.list
+
     def test_missing_manifest_is_a_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         write_run_cfg(cfg)

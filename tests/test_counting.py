@@ -98,7 +98,8 @@ class TestFlopAccounting:
     def test_total_matches_the_executed_work(self, monkeypatch, size, c, k,
                                              mode):
         """Every conv and matmul of one forward pass, counted as 2*MACs
-        at the call, adds up to count_flops exactly."""
+        at the call, adds up to count_flops exactly. A ConvGRU cell
+        counts its three gate convs."""
         executed = []
 
         def counted_conv2d(x, w, b, **kw):
@@ -112,7 +113,15 @@ class TestFlopAccounting:
             executed.append(matmul_flops(a.shape[0], a.shape[1], b.shape[1]))
             return tt.matmul(a, b)
 
+        def counted_conv_gru(hidden, x, *gates):
+            out = tt.conv_gru(hidden, x, *gates)
+            for w in gates[::2]:                      # the z, r and q convs
+                cout, cin, kk, _ = w.shape
+                executed.append(conv_flops(cin, cout, kk, *out.shape[1:]))
+            return out
+
         monkeypatch.setattr(layers_mod, "conv2d", counted_conv2d)
+        monkeypatch.setattr(model_mod, "conv_gru", counted_conv_gru)
         monkeypatch.setattr(model_mod, "matmul", counted_matmul)
         monkeypatch.setattr(graph_mod, "matmul", counted_matmul)
         cfg = ModelConfig(feature_channels=c, context_channels=c, nodes=k,

@@ -293,11 +293,28 @@ class TestFlatAdamW:
             opt.step(lr=5e-2)
         self.assert_untouched(opt, params, before)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gradient_whose_squares_overflow_is_still_finite(self):
-        """Entries of 1e30 square past float32's range, so the check's sum
-        of squares overflows; the gradient is finite and the update runs,
-        bitwise as the per-parameter one."""
+        """An entry of 1e30 is finite, but its square is not in float32, so
+        its second moment would become inf and the update would leave that
+        weight frozen from then on. The step is refused before any update,
+        with its own message: the gradient is not reported non-finite."""
+        params = shaped_params(FLAT_SHAPES, np.float32)
+        opt = AdamW(params, lr=3e-3, weight_decay=1e-2)
+        self.run_steps(opt, params, range(2))
+        before = self.snapshot(opt, params)
+        for name, g in step_gradients(FLAT_SHAPES, np.float32, 2).items():
+            params[name].grad = g
+        params["p3"].grad[0, 1] = 1e30
+        with pytest.raises(NumericError,
+                           match=r"^gradient of p3 has an entry whose square "
+                                 r"overflows float32 at step 2$"):
+            opt.step()
+        self.assert_untouched(opt, params, before)
+
+    def test_sum_of_squares_that_overflows_alone_still_updates(self):
+        """Entries of 1e19 square to 1e38, inside float32's range, but the
+        check's sum of squares over them overflows; the gradient is finite
+        and the update runs, bitwise as the per-parameter one."""
         ref_params = shaped_params(FLAT_SHAPES, np.float32)
         flat_params = shaped_params(FLAT_SHAPES, np.float32)
         ref = ReferenceAdamW(ref_params, lr=3e-3, weight_decay=1e-2)
@@ -306,8 +323,7 @@ class TestFlatAdamW:
             self.run_steps(o, params, range(2))
             for name, g in step_gradients(FLAT_SHAPES, np.float32, 2).items():
                 params[name].grad = g
-            params["p3"].grad[0, 1] = 1e30
-            params["p5"].grad[:] = -1e30
+            params["p5"].grad[:] = -1e19
             o.step()
         for name in ref_params:
             assert np.array_equal(flat_params[name].data, ref_params[name].data)

@@ -38,8 +38,6 @@ class TestLoadPairs:
 
 
 class TestRunTraining:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_exploding_updates_abort_with_the_step_number(self, tmp_path,
                                                           manifest):
         """NaN weights propagate to the loss, which aborts the run."""
