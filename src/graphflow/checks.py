@@ -133,12 +133,14 @@ def _op_cases(rng):
     pw = _weights(rng, (2, 3, 3))
     case("avg_pool2x2", {"x": px}, lambda: tsum(mul(avg_pool2x2(px), pw)))
 
-    wv = _param(rng, (3, 4, 4))
-    wc = Tensor(_fractional(rng, (2, 3), -1, 4), requires_grad=True,
+    # three ceil-halved levels, read at centres / 2^l
+    wvs = {f"level{lvl}": _param(rng, (3, e, e))
+           for lvl, e in enumerate((5, 3, 2))}
+    wc = Tensor(_fractional(rng, (2, 3), -1, 5), requires_grad=True,
                 dtype=np.float64)
-    ww = _weights(rng, (9, 3))
-    case("window_sample", {"vol": wv, "centers": wc},
-         lambda: tsum(mul(window_sample(wv, wc, 1), ww)))
+    ww = _weights(rng, (3 * 9, 3))
+    case("window_sample", {**wvs, "centers": wc},
+         lambda: tsum(mul(window_sample(list(wvs.values()), wc, 1), ww)))
 
     # a cell of 2 state and 3 input channels with tap-major gate weights,
     # scaled so the gates do not saturate

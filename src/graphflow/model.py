@@ -146,24 +146,21 @@ def build_corr_pyramid(f1: Tensor, f2: Tensor) -> CorrelationPyramid:
 
 
 def lookup(pyr: CorrelationPyramid, flow: Tensor, radius: int) -> Tensor:
-    """Cost windows around (p + flow(p)) / 2^l, all levels concatenated.
+    """Cost windows around (p + flow(p)) / 2^l at every level, one op.
 
     Channel order is level-major, then window rows top to bottom, so
     channel l*(2r+1)^2 + (dy+r)*(2r+1) + (dx+r) reads offset (dx, dy)
-    at level l.
+    at level l. ``window_sample`` reads all levels in one gather from
+    an unpadded flat copy of the pyramid.
     """
     h, w = pyr.grid
     n = h * w
     if flow.shape != (2, h, w):
         raise DimensionError(f"flow {flow.shape} does not match grid {(2, h, w)}")
-    s = (2 * radius + 1) ** 2
     grid = Tensor(_pixel_grid(h, w, flow.dtype), dtype=flow.dtype)
     centers = add(grid, reshape(flow, (2, n)))
-    out = []
-    for lvl, vol in enumerate(pyr.levels):
-        sampled = window_sample(vol, scale(centers, 1.0 / 2 ** lvl), radius)
-        out.append(reshape(sampled, (s, h, w)))
-    return concat(out)
+    sampled = window_sample(pyr.levels, centers, radius)
+    return reshape(sampled, (sampled.shape[0], h, w))
 
 
 # The constants below are built once per shape and dtype and shared

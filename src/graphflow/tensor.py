@@ -51,11 +51,15 @@ r * hidden, so a cell builds its columns once and is one tape node. It
 does the composed conv2d, sigmoid, tanh, mul and add arithmetic in
 their order, and its values and gradients are bitwise theirs.
 
-The correlation lookup's op, ``window_sample``, gathers one integer
-window per pixel and pyramid level from a zero-padded copy of the
-level. It blends the window separably, as a lerp along x and then one
-along y, and drops the intermediate; its backward is the adjoint of
-the two lerps and recomputes the x-lerp for the centre gradient.
+The correlation lookup's op, ``window_sample``, reads every pyramid
+level in one tape node. It copies the levels into one flat buffer
+that ends in a single zero slot, and gathers one integer window per
+pixel and level through one index in which every off-map tap points
+at that slot, so no level is padded. It blends the windows separably,
+as a lerp along x and then one along y, and drops the intermediate.
+Its backward is the adjoint of the two lerps, scattered into an
+unpadded flat gradient whose contiguous slices are the levels'
+gradients; it recomputes the x-lerp for the centre gradient.
 """
 
 from __future__ import annotations
@@ -752,76 +756,113 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 # -- sampling ----------------------------------------------------------------
 
 
-def window_sample(vol: Tensor, centers: Tensor, radius: int) -> Tensor:
-    """Bilinear windows around per-slice centres: (N,H,W), (2,N) -> (S,N).
+def window_sample(levels: Sequence[Tensor], centers: Tensor,
+                  radius: int) -> Tensor:
+    """Bilinear windows at every level: L x (N,h_l,w_l), (2,N) -> (L*S,N).
 
-    Slice n is read at centers[:, n] + (dx, dy) for the S = (2r+1)^2
-    integer offsets in [-r, r], dy outer; outside the map reads zero.
-    The offsets share one fractional part (fx, fy), so each slice
-    gathers one (2r+2)^2 window from a zero-padded copy and blends it
-    separably: a lerp by fx along x, then a lerp by fy along y. The
-    backward runs the adjoint of the two lerps, and recomputes the
-    x-lerp from the window for the centre gradient.
+    Slice n of level l is read at centers[:, n] / 2^l + (dx, dy) for the
+    S = (2r+1)^2 integer offsets in [-r, r], dy outer; outside the map
+    reads zero. Rows are level-major, so row l*S + s is offset s at
+    level l. The offsets share one fractional part (fx, fy) per level,
+    so each slice gathers one (2r+2)^2 window per level and blends it
+    separably: a lerp by fx along x, then a lerp by fy along y.
+
+    All levels are read from one flat copy of the pyramid ending in a
+    single zero slot, through one index in which every off-map tap
+    points at that slot, so no level is padded. The backward runs the
+    adjoint of the two lerps, scatters into an unpadded flat gradient,
+    and recomputes the x-lerp from the windows for the centre gradient.
     """
-    _check_same_dtype(vol, centers)
-    if vol.data.ndim != 3:
-        raise DimensionError(f"window_sample volume must be (N,H,W), got {vol.shape}")
-    if centers.shape != (2, vol.shape[0]):
-        raise DimensionError(f"centers must be (2,{vol.shape[0]}) for volume "
-                             f"{vol.shape}, got {centers.shape}")
+    levels = list(levels)
+    if not levels:
+        raise ContractError("window_sample needs at least one level")
+    _check_same_dtype(*levels, centers)
+    n = levels[0].shape[0]
+    for vol in levels:
+        if vol.data.ndim != 3 or vol.shape[0] != n:
+            raise DimensionError(f"window_sample levels must be (N,h,w) with "
+                                 f"one N, got {vol.shape} after {levels[0].shape}")
+    if centers.shape != (2, n):
+        raise DimensionError(f"centers must be (2,{n}) for levels of {n} "
+                             f"slices, got {centers.shape}")
     if radius < 0:
         raise ContractError(f"window radius must be >= 0, got {radius}")
-    n, h, w = vol.shape
-    k = 2 * radius + 2                 # window extent, also the pad width
-    hp, wp = h + 2 * k, w + 2 * k
-    cx, cy = centers.data
+    nl = len(levels)
+    k = 2 * radius + 2                 # window extent
+    ext = np.array([v.shape[1:] for v in levels])
+    hs, ws = ext[:, :1], ext[:, 1:]    # (L, 1) each
+    starts = np.cumsum([0] + [v.data.size for v in levels])
+    slot = starts[-1]                  # the one zero slot, after every level
+    flat = np.empty(slot + 1, dtype=centers.data.dtype)
+    for vol, a, b in zip(levels, starts, starts[1:]):
+        flat[a:b] = vol.data.reshape(-1)
+    flat[slot] = 0.0
+    # level l reads centers * 2^-l, an exact product: (L, N) each
+    cx, cy = np.ldexp(centers.data[:, None], -np.arange(nl)[:, None])
     x0, y0 = np.floor(cx), np.floor(cy)
-    fx, fy = cx - x0, cy - y0
-    # window origin in padded coordinates; a window wholly off the map
-    # is clamped into the padding, so it still reads zeros only
-    xs = np.clip(x0.astype(np.int64) - radius, -k, w) + k
-    ys = np.clip(y0.astype(np.int64) - radius, -k, h) + k
-    steps = np.arange(k)
-    lin = ((steps[:, None] * wp + steps)[:, :, None]             # (k, k, N)
-           + ((np.arange(n) * hp + ys) * wp + xs))
-    win = _pad(vol.data, k).reshape(-1)[lin]
-    tx = win[:, 1:] - win[:, :-1]
+    fx, fy = (cx - x0)[:, None, None], (cy - y0)[:, None, None]
+    # window origin; a window wholly off the map is clamped just past
+    # its edge, so it still reads the zero slot only
+    xs = np.clip(x0.astype(np.int64) - radius, -k, ws)
+    ys = np.clip(y0.astype(np.int64) - radius, -k, hs)
+    steps = np.arange(k)[:, None]
+    col = xs[:, None] + steps          # (L, k, N)
+    row = ys[:, None] + steps
+    base = starts[:-1, None] + np.arange(n) * (hs * ws)          # slice n's start
+    col = np.where((col >= 0) & (col < ws[:, None]), col, slot)
+    row = np.where((row >= 0) & (row < hs[:, None]),
+                   base[:, None] + row * ws[:, None], slot)
+    # an off-map row or column alone lifts the sum past the slot
+    lin = row[:, :, None] + col[:, None]                         # (L, k, k, N)
+    np.minimum(lin, slot, out=lin)
+    win = flat[lin]
+    tx = win[:, :, 1:] - win[:, :, :-1]
     tx *= fx
-    tx += win[:, :-1]                  # lerp along x: (k, k-1, N)
-    out = tx[1:] - tx[:-1]
+    tx += win[:, :, :-1]               # lerp along x: (L, k, k-1, N)
+    out = tx[:, 1:] - tx[:, :-1]
     out *= fy
-    out += tx[:-1]                     # lerp along y: (k-1, k-1, N)
+    out += tx[:, :-1]                  # lerp along y: (L, k-1, k-1, N)
     out_data = out.reshape(-1, n)
 
     def backward(g):
-        g = g.reshape(k - 1, k - 1, n)
-        if vol.requires_grad:
+        g = g.reshape(nl, k - 1, k - 1, n)
+        if any(vol.requires_grad for vol in levels):
             # adjoint of each lerp a + f (b - a): a gets g - f g, b gets f g
             gf = g * fy
-            gtx = np.empty((k, k - 1, n), dtype=g.dtype)
-            np.subtract(g, gf, out=gtx[:-1])
-            gtx[-1] = gf[-1]
-            gtx[1:-1] += gf[:-1]
+            gtx = np.empty((nl, k, k - 1, n), dtype=g.dtype)
+            np.subtract(g, gf, out=gtx[:, :-1])
+            gtx[:, -1] = gf[:, -1]
+            gtx[:, 1:-1] += gf[:, :-1]
             gf = gtx * fx
             gwin = np.empty_like(win)
-            np.subtract(gtx, gf, out=gwin[:, :-1])
-            gwin[:, -1] = gf[:, -1]
-            gwin[:, 1:-1] += gf[:, :-1]
-            # one window per slice, so the indexed write never collides
-            gpad = np.zeros(n * hp * wp, dtype=vol.data.dtype)
-            gpad[lin] = gwin
-            vol._accum(gpad.reshape(n, hp, wp)[:, k:k + h, k:k + w])
+            np.subtract(gtx, gf, out=gwin[:, :, :-1])
+            gwin[:, :, -1] = gf[:, :, -1]
+            gwin[:, :, 1:-1] += gf[:, :, :-1]
+            # on the map the taps never collide; every off-map tap lands
+            # in the slot, which no level reads
+            gflat = np.zeros(slot + 1, dtype=g.dtype)
+            gflat[lin] = gwin
+            for vol, a, b in zip(levels, starts, starts[1:]):
+                if vol.requires_grad:
+                    vol._accum(gflat[a:b].reshape(vol.shape))
         if centers.requires_grad:
-            ddx = win[:, 1:] - win[:, :-1]
+            ddx = win[:, :, 1:] - win[:, :, :-1]
             tx = ddx * fx
-            tx += win[:, :-1]
+            tx += win[:, :, :-1]
             # d out / d fx is the y-lerp of ddx; d out / d fy is the
             # difference of the x-lerps
-            dfx = ddx[1:] - ddx[:-1]
+            dfx = ddx[:, 1:] - ddx[:, :-1]
             dfx *= fy
-            dfx += ddx[:-1]
-            gc = np.stack([np.einsum("ijn,ijn->n", g, dfx),
-                           np.einsum("ijn,ijn->n", g, tx[1:] - tx[:-1])])
-            centers._accum(gc.astype(centers.data.dtype, copy=False))
+            dfx += ddx[:, :-1]
+            dfy = tx[:, 1:] - tx[:, :-1]
+            # level l reads centers * 2^-l; sum from the coarsest level
+            # down, the order in which per-level ops would accumulate
+            gc = None
+            for lvl in reversed(range(nl)):
+                term = np.stack([np.einsum("ijn,ijn->n", g[lvl], dfx[lvl]),
+                                 np.einsum("ijn,ijn->n", g[lvl], dfy[lvl])])
+                term *= 0.5 ** lvl
+                gc = term if gc is None else gc + term
+            centers._accum(gc)
 
-    return Tensor._from_op(out_data, (vol, centers), backward)
+    return Tensor._from_op(out_data, (*levels, centers), backward)

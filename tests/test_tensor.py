@@ -403,7 +403,7 @@ class TestWindowSample:
         vol = rng.normal(size=(4, 5, 6))
         cx = rng.uniform(-3.0, 8.0, size=4)
         cy = rng.uniform(-3.0, 7.0, size=4)
-        out = window_sample(c64(vol), c64(np.stack([cx, cy])), 1).data
+        out = window_sample([c64(vol)], c64(np.stack([cx, cy])), 1).data
         assert out.shape == (9, 4)
         for nn in range(4):
             for ss in range(9):
@@ -419,16 +419,16 @@ class TestWindowSample:
         centers = p64(rng.integers(-1, 4, size=(2, 3))
                       + rng.uniform(0.2, 0.8, size=(2, 3)))
         rep = gradcheck(
-            lambda: tsum(mul(window_sample(vol, centers, 2),
-                             window_sample(vol, centers, 2))),
+            lambda: tsum(mul(window_sample([vol], centers, 2),
+                             window_sample([vol], centers, 2))),
             {"vol": vol, "centers": centers})
         assert rep.max_rel_err < 1e-6
 
     def test_slice_count_mismatch_is_rejected(self):
         with pytest.raises(DimensionError):
-            window_sample(c64(np.zeros((3, 4, 4))), c64(np.zeros((2, 5))), 1)
+            window_sample([c64(np.zeros((3, 4, 4)))], c64(np.zeros((2, 5))), 1)
         with pytest.raises(ContractError):
-            window_sample(c64(np.zeros((3, 4, 4))), c64(np.zeros((2, 3))), -1)
+            window_sample([c64(np.zeros((3, 4, 4)))], c64(np.zeros((2, 3))), -1)
 
 
 class TestBackward:
