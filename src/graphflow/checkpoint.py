@@ -47,13 +47,19 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as name -> float32 array, insertion-ordered.
 
+    The file is read once into one writable buffer, and each entry is a
+    view of its own bytes there, so no value is copied. Entries can sit
+    at unaligned offsets, where numpy's matmul leaves BLAS, so a model
+    copies each into an aligned array of its own (``FlowModel.load_state``).
     Every value must be finite: an entry holding NaN or an infinity is a
     ``FormatError`` that names it, so no run starts from one.
     """
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"checkpoint not found: {path}")
-    blob = p.read_bytes()
+    with p.open("rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]      # a file that shrank reads short
     if len(blob) < 12:
         raise FormatError(f"{path}: truncated header, {len(blob)} bytes")
     if blob[:4] != MAGIC:
@@ -100,7 +106,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         if not np.isfinite(arr).all():
             raise FormatError(
                 f"{path}: entry {name!r} holds NaN or infinite values")
-        out[name] = arr.reshape(shape).copy()
+        out[name] = arr.reshape(shape)
         pos += nbytes
     if pos != len(blob):
         raise FormatError(

@@ -5,7 +5,9 @@ name, and inserts each trainable tensor under its full dotted name
 (``name.w``, ``name.b``) the moment it draws it. A name is written
 once, where its layer is built, and registration order is
 construction order, which is also the RNG draw order, so checkpoint
-bytes follow from the order of the constructor calls alone.
+bytes follow from the order of the constructor calls alone. Every draw
+goes through ``rng.normal``, so a ``NoDraw`` in the generator's place
+builds the same structure without drawing.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ def parameter(params: dict, name: str, data: np.ndarray) -> Tensor:
     """A new trainable tensor, registered in ``params`` under ``name``."""
     params[name] = Tensor(data, requires_grad=True)
     return params[name]
+
+
+class NoDraw:
+    """Stands in for the generator of a model whose weights will all be
+    loaded: each draw is zeros of the requested extents.
+
+    Zeros, never ``np.empty``: a placeholder is cast to the run's dtype
+    before it is overwritten, and garbage bits can overflow in the cast.
+    """
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple) -> np.ndarray:
+        return np.zeros(size)
 
 
 def tap_major(w: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .config import ModelConfig
 from .data import FlowField
 from .errors import ConfigError, ContractError, DimensionError
 from .graph import GraphBlock
-from .layers import Conv2d
+from .layers import Conv2d, NoDraw
 from .tensor import (Tensor, absolute, add, avg_pool2x2, concat, conv_gru,
                      matmul, mul, no_grad, relu, reshape, scale, tanh,
                      transpose, tsum, window_sample)
@@ -256,12 +256,20 @@ def sequence_loss(preds: list[Tensor], gt: FlowField) -> Tensor:
 
 
 class FlowModel:
-    """End-to-end network; parameters live in one ordered registry."""
+    """End-to-end network; parameters live in one ordered registry.
 
-    def __init__(self, cfg: ModelConfig):
+    ``FlowModel(cfg)`` draws every initial weight from ``cfg.seed``.
+    ``FlowModel(cfg, entries)`` builds the same layers on zero
+    placeholders, drawing nothing, and fills them from checkpoint
+    ``entries`` through :meth:`load_state` and its checks, so each
+    weight is copied once, into an aligned array of its own.
+    """
+
+    def __init__(self, cfg: ModelConfig,
+                 entries: dict[str, np.ndarray] | None = None):
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if entries is None else NoDraw()
         side = 2 * cfg.lookup_radius + 1
         corr_ch = PYRAMID_LEVELS * side * side
         self.params: dict[str, Tensor] = {}
@@ -277,6 +285,8 @@ class FlowModel:
         self.gru = ConvGRU(rng, self.params, "gru", cfg.context_channels,
                            2 * cfg.context_channels)
         self.head = FlowHead(rng, self.params, "head", cfg.context_channels)
+        if entries is not None:
+            self.load_state(entries)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -3,14 +3,16 @@
 The optimizer owns its parameters' storage. At construction every
 parameter's values move into one flat buffer, and each ``p.data``
 becomes a view into it, in the parameter's own memory order (a conv
-weight stays tap-major), that later writes fill in place, as
-``FlowModel.load_state`` does; the moments are flat buffers of the same
-layout. A step first checks every parameter and raises before anything
-moves: ``ContractError`` for one rebound off its view, ``NumericError``
-for a non-finite gradient or one with an entry whose square overflows,
-which would make its second moment infinite and freeze that weight (the
-training loop's gradient check: one BLAS sum of squares per gradient,
-and elementwise passes only when that sum is not finite). It then
+weight stays tap-major), that later writes must fill in place. A resume
+builds the model from its checkpoint first, so the loaded weights are
+what move in, and ``load_state_entries`` then fills the moments, flat
+buffers of the same layout. A step first checks every parameter and
+raises before anything moves: ``ContractError`` for one rebound off its
+view, ``NumericError`` for a non-finite gradient or one with an entry
+whose square overflows, which would make its second moment infinite
+and freeze that weight (the training loop's gradient check: one BLAS
+sum of squares per gradient, and elementwise passes only when that sum
+is not finite). It then
 reads each gradient once into scratch laid out in each parameter's
 memory order and runs the update over spans of consecutive parameters,
 so the ufunc sequence is the per-parameter one, element for element,

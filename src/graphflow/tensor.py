@@ -273,9 +273,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # split on sign so exp never overflows
+    # exp of -|d| never overflows; the numerator is 1 for d >= 0 (where
+    # e <= 1) and e below, with no branch on the sign
     e = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.maximum(e, d >= 0) / (1.0 + e)
     return out.astype(d.dtype, copy=False)
 
 
@@ -815,7 +816,7 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
     # an off-map row or column alone lifts the sum past the slot
     lin = row[:, :, None] + col[:, None]                         # (L, k, k, N)
     np.minimum(lin, slot, out=lin)
-    win = flat[lin]
+    win = flat.take(lin)
     tx = win[:, :, 1:] - win[:, :, :-1]
     tx *= fx
     tx += win[:, :, :-1]               # lerp along x: (L, k, k-1, N)

@@ -70,11 +70,12 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
 
     Pairs are visited round-robin by step index, and no randomness is
     drawn inside the loop, so a run restarted from its own checkpoint
-    continues bit-for-bit where it stopped. Checkpoints hold float32
-    only, so a 64-bit run cannot be resumed. A non-finite loss raises
-    ``NumericError`` here, and ``AdamW.step`` raises it for a non-finite
-    gradient before the update touches the weights. Emits ``train.tsv``
-    plus periodic and final checkpoints under ``cfg.out``.
+    continues bit-for-bit where it stopped; it builds the model from the
+    checkpoint's entries, drawing no initial weights. Checkpoints hold
+    float32 only, so a 64-bit run cannot be resumed. A non-finite loss
+    raises ``NumericError`` here, and ``AdamW.step`` raises it for a
+    non-finite gradient before the update touches the weights. Emits
+    ``train.tsv`` plus periodic and final checkpoints under ``cfg.out``.
     A resume keeps the rows of an existing ``train.tsv`` up to its
     checkpoint's step and drops the rest, so the log ends as an
     uninterrupted run's would.
@@ -91,14 +92,14 @@ def run_training(cfg: RunConfig, progress=None) -> TrainResult:
     pairs = load_pairs(cfg.data)
 
     with precision(cfg.precision):
-        model = FlowModel(cfg.model())
+        entries = load_checkpoint(cfg.resume) if cfg.resume else None
+        model = FlowModel(cfg.model(), entries)
         opt = AdamW(model.params, lr=cfg.peak_lr,
                     weight_decay=cfg.weight_decay)
         start_step = 0
-        if cfg.resume:
-            entries = load_checkpoint(cfg.resume)
-            model.load_state(entries)
+        if entries is not None:
             opt.load_state_entries(entries)
+            del entries                # frees the file buffer before step one
             start_step = opt.t
             if start_step >= cfg.steps:
                 raise ConfigError(
@@ -162,6 +163,8 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
                    progress=None) -> EvalResult:
     """Score a checkpoint over the manifest; writes ``eval.tsv``.
 
+    The model is built straight from the checkpoint, drawing nothing.
+
     The aggregate numbers weight each pair by its valid-pixel count, so
     they equal the metrics over the pooled pixel population. A
     prediction that is not finite raises ``NumericError`` naming its
@@ -178,8 +181,7 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
     bad_sum = 0.0
     pixel_sum = 0
     with precision(cfg.precision):
-        model = FlowModel(cfg.model())
-        model.load_state(load_checkpoint(weights))
+        model = FlowModel(cfg.model(), load_checkpoint(weights))
         with no_grad(), open(out_dir / "eval.tsv", "w") as log:
             log.write("pair\tepe\tf1_all\tpixels\n")
             for pair_id, frame1, frame2, gt in pairs:

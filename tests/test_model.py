@@ -452,6 +452,63 @@ class TestCheckpointRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestBuildFromEntries:
+    """``FlowModel(cfg, entries)`` draws nothing and equals a drawn model
+    loaded with the same entries, bit for bit."""
+
+    @staticmethod
+    def entries(tmp_path, cfg):
+        path = tmp_path / "w.agfw"
+        save_checkpoint(path, FlowModel(cfg).state())
+        return load_checkpoint(path)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("mode", ["base", "sgr", "agr"])
+    def test_equals_a_drawn_then_loaded_model(self, tmp_path, mode, bits):
+        rng = np.random.default_rng(5)
+        i1, i2 = rng.uniform(size=(2, 3, 16, 16))
+        with tt.precision(bits):
+            entries = self.entries(tmp_path, micro_cfg(graph=mode, seed=9))
+            drawn = FlowModel(micro_cfg(graph=mode))
+            drawn.load_state(entries)
+            built = FlowModel(micro_cfg(graph=mode), entries)
+            assert list(built.params) == list(drawn.params)
+            for name, p in drawn.params.items():
+                q = built.params[name].data
+                assert q.dtype == p.data.dtype and q.strides == p.data.strides
+                assert q.tobytes() == p.data.tobytes()
+            assert np.array_equal(built.predict(i1, i2).flow,
+                                  drawn.predict(i1, i2).flow)
+
+    def test_building_from_entries_draws_nothing(self, tmp_path, request):
+        entries = self.entries(tmp_path, micro_cfg())
+        request.getfixturevalue("no_draws")
+        with pytest.raises(AssertionError, match="drawn"):
+            FlowModel(micro_cfg())
+        FlowModel(micro_cfg(), entries)
+
+    def test_parameters_are_aligned_and_own_their_memory(self, tmp_path):
+        entries = self.entries(tmp_path, micro_cfg())
+        # names of any length leave some entries at unaligned offsets
+        assert not all(e.flags.aligned for e in entries.values())
+        model = FlowModel(micro_cfg(), entries)
+        for p in model.params.values():
+            assert p.data.flags.aligned
+            assert not any(np.may_share_memory(p.data, e)
+                           for e in entries.values())
+
+    def test_load_errors_keep_their_messages(self, tmp_path):
+        entries = self.entries(tmp_path, micro_cfg())
+        hint = "likely written under another --config$"
+        with pytest.raises(ContractError, match=r"'bogus\.w' .*" + hint):
+            FlowModel(micro_cfg(), {**entries, "bogus.w": np.zeros(3)})
+        with pytest.raises(ContractError, match=r"missing parameter 'head"):
+            FlowModel(micro_cfg(), {k: v for k, v in entries.items()
+                                    if k != "head.conv2.w"})
+        with pytest.raises(DimensionError, match=r"'fnet\.stem\.w'.*" + hint):
+            FlowModel(micro_cfg(feature_channels=8), entries)
+
+
 class TestRegistration:
     """A fresh model's checkpoint bytes fix every parameter name, the
     registration order and the RNG draw order at once."""

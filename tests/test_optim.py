@@ -501,6 +501,23 @@ class TestCheckpointContainer:
                            match=r"entry 'head\.conv2\.w' holds NaN or inf"):
             load_checkpoint(path)
 
+    def test_entries_are_writable_and_independent(self, tmp_path):
+        entries = {"a": np.arange(3, dtype=np.float32),
+                   "bb.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                   "c": np.asarray(7.0, dtype=np.float32)}
+        path = tmp_path / "w.agfw"
+        save_checkpoint(path, entries)
+        before = path.read_bytes()
+        back = load_checkpoint(path)
+        for name, arr in back.items():
+            assert arr.flags.writeable
+            arr[...] = -1.0
+            for other, orig in entries.items():
+                if other != name:
+                    assert np.array_equal(back[other], orig)
+            arr[...] = entries[name]
+        assert path.read_bytes() == before
+
     def test_insertion_order_is_preserved(self, tmp_path):
         names = [f"n{i}" for i in (3, 1, 4, 1, 5)]
         entries = {}

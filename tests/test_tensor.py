@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphflow.errors import ContractError, DimensionError
 from graphflow import tensor as tt
@@ -19,6 +20,18 @@ from graphflow.layers import tap_major
 
 from oracles import (naive_bilinear, naive_conv2d, naive_conv2d_backward,
                      naive_matmul, naive_softmax)
+
+
+def where_sigmoid(d):
+    """The sign-split sigmoid, the reference for the branch-free one."""
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out.astype(d.dtype, copy=False)
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def p64(arr):
@@ -91,6 +104,20 @@ class TestElementwise:
         out = sigmoid(c64([-800.0, 0.0, 800.0]))
         assert np.all(np.isfinite(out.data))
         assert out.data[1] == 0.5
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dt: arrays(dt, st.integers(0, 40))))
+    def test_sigmoid_matches_the_sign_split_formula_bitwise(self, d):
+        assert same_bits(sigmoid(Tensor(d, dtype=d.dtype)).data,
+                         where_sigmoid(d))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_special_values_match_bitwise(self, dtype):
+        d = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45,
+                      -1e-45, 88.0, -88.0, 1e30, -1e30], dtype=dtype)
+        assert same_bits(sigmoid(Tensor(d, dtype=dtype)).data,
+                         where_sigmoid(d))
 
     def test_tanh_matches_numpy(self):
         x = np.linspace(-2, 2, 7)

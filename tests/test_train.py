@@ -53,8 +53,8 @@ class TestRunTraining:
         models = []
 
         class RecordingModel(FlowModel):
-            def __init__(self, cfg):
-                super().__init__(cfg)
+            def __init__(self, *args):
+                super().__init__(*args)
                 models.append(self)
 
         backward = Tensor.backward
@@ -99,6 +99,21 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="precision"):
             run_training(again)
         assert not (tmp_path / "run2").exists()
+
+    def test_resume_and_eval_draw_no_weights(self, tmp_path, manifest,
+                                             request):
+        """Both build the model from the checkpoint, so neither draws."""
+        run_training(tiny_cfg(manifest, tmp_path / "run",
+                              checkpoint_interval=2))
+        ckpt = tmp_path / "run" / "step_000002.agfw"
+        request.getfixturevalue("no_draws")
+        result = run_training(tiny_cfg(manifest, tmp_path / "again",
+                                       resume=str(ckpt)))
+        assert result.steps_run == 1
+        assert ((tmp_path / "again" / "model.agfw").read_bytes()
+                == (tmp_path / "run" / "model.agfw").read_bytes())
+        train.run_evaluation(tiny_cfg(manifest, tmp_path / "eval"),
+                             result.checkpoint)
 
     def test_first_loss_is_finite_and_positive(self, tmp_path, manifest):
         result = run_training(tiny_cfg(manifest, tmp_path / "run"))
