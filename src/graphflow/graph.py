@@ -54,7 +54,7 @@ def embed_nodes(f: Tensor, conv1: Conv2d, conv2: Conv2d) -> NodeSet:
     if f.data.ndim != 3:
         raise DimensionError(f"embed_nodes expects (c,h,w), got {f.shape}")
     c, h, w = f.shape
-    logits = conv2(relu(conv1(f)))                     # (K, h, w)
+    logits = conv2(conv1(f, relu=True))                # (K, h, w)
     k = logits.shape[0]
     proj = softmax(transpose(reshape(logits, (k, h * w))))   # (N, K)
     flat = reshape(f, (c, h * w))
@@ -148,7 +148,7 @@ def attentive_fuse(fc: Tensor, fm: Tensor, ca_fc1: Conv2d, ca_fc2: Conv2d) -> Te
         raise DimensionError(f"fusion inputs differ: {fc.shape} vs {fm.shape}")
     _, h, w = fm.shape
     gap = scale(tsum(fm, axis=(1, 2), keepdims=True), 1.0 / (h * w))  # (C, 1, 1)
-    gate = sigmoid(ca_fc2(relu(ca_fc1(gap))))          # (C, 1, 1)
+    gate = sigmoid(ca_fc2(ca_fc1(gap, relu=True)))     # (C, 1, 1)
     scaled = mul(add(gate, Tensor(1.0, dtype=gate.dtype)), fc)
     return concat([scaled, fm])
 

@@ -66,8 +66,9 @@ class Conv2d:
         self.b = parameter(params, f"{name}.b", np.zeros(cout))
         self.stride = stride
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride)
+    def __call__(self, x: Tensor, *, relu: bool = False) -> Tensor:
+        """The conv of ``x``; with ``relu``, its ReLU in the same op."""
+        return conv2d(x, self.w, self.b, stride=self.stride, relu=relu)
 
 
 def linear_pair(rng: np.random.Generator, params: dict, name: str,

@@ -46,7 +46,7 @@ class ResBlock:
         self.conv2 = Conv2d(rng, params, f"{prefix}.conv2", ch, ch, 3)
 
     def __call__(self, x):
-        return relu(add(x, self.conv2(relu(self.conv1(x)))))
+        return relu(add(x, self.conv2(self.conv1(x, relu=True))))
 
 
 class Encoder:
@@ -64,10 +64,10 @@ class Encoder:
                           gain="linear")
 
     def __call__(self, x):
-        h = relu(self.stem(x))
+        h = self.stem(x, relu=True)
         for blk in self.blocks1:
             h = blk(h)
-        h = relu(self.down(h))
+        h = self.down(h, relu=True)
         for blk in self.blocks2:
             h = blk(h)
         return self.out(h)
@@ -85,8 +85,8 @@ class MotionEncoder:
                            gain="linear")
 
     def __call__(self, corr_feats, flow):
-        a = relu(self.corr2(relu(self.corr1(corr_feats))))
-        b = relu(self.flow1(flow))
+        a = self.corr2(self.corr1(corr_feats, relu=True), relu=True)
+        b = self.flow1(flow, relu=True)
         return self.fuse(concat([a, b]))
 
 
@@ -124,7 +124,7 @@ class FlowHead:
                             gain="linear")
 
     def __call__(self, hidden):
-        return self.conv2(relu(self.conv1(hidden)))
+        return self.conv2(self.conv1(hidden, relu=True))
 
 
 # -- correlation -------------------------------------------------------------

@@ -51,22 +51,30 @@ r * hidden, so a cell builds its columns once and is one tape node. It
 does the composed conv2d, sigmoid, tanh, mul and add arithmetic in
 their order, and its values and gradients are bitwise theirs.
 
+With ``relu=True`` a conv applies its ReLU in place on the GEMM
+output and masks its output gradient by out > 0, so a conv and the
+ReLU that reads it are one tape node, bitwise the two composed ops.
+
 The correlation lookup's op, ``window_sample``, reads every pyramid
 level in one tape node. It copies the levels into one flat buffer
 that ends in a single zero slot, and gathers one integer window per
 pixel and level through one index in which every off-map tap points
-at that slot, so no level is padded. It blends the windows separably,
-as a lerp along x and then one along y, and drops the intermediate.
-Its backward is the adjoint of the two lerps, scattered into an
-unpadded flat gradient whose contiguous slices are the levels'
-gradients; it recomputes the x-lerp for the centre gradient.
+at that slot, so no level is padded. The parts of that index that
+depend only on the pyramid's shape and the radius (level starts,
+clamp bounds, slice starts, and row and column offset tables) are
+built once per shape and kept read-only, as the conv's shift plans
+are. It blends the windows separably, as a lerp along x and then one
+along y, and drops the intermediate. Its backward is the adjoint of
+the two lerps, scattered into an unpadded flat gradient whose
+contiguous slices are the levels' gradients; it recomputes the x-lerp
+for the centre gradient.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -579,9 +587,17 @@ def _conv_grads(g: np.ndarray, xm: np.ndarray, wm: np.ndarray, w: Tensor,
     return wm.reshape(-1, cin).T @ gcols if need_dx else None
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1,
+           relu: bool = False) -> Tensor:
     """Same-padded 2-D cross-correlation of one (C_in, H, W) map with
-    (C_out, C_in, k, k) weights, plus a (C_out,) bias.
+    (C_out, C_in, k, k) weights, plus a (C_out,) bias; with ``relu``,
+    the ReLU of that.
+
+    ``relu=True`` is the composed relu(conv2d(...)) in one tape node:
+    the output is clamped in place, and the backward masks the output
+    gradient by out > 0, which holds exactly where the pre-activation
+    is positive, before the conv backward. Values and gradients are
+    bitwise the composed ops'.
 
     The map is read as if padded by p = k // 2 on every side, so the
     output is ceil(H / stride) by ceil(W / stride). The forward runs as
@@ -614,8 +630,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1) -> Tensor:
     wm = _weight_matrix(w)
     out_data = _affine(wm, _im2col(x.data, k, stride), b.data).reshape(
         cout, ho, wo)
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
 
     def backward(g):
+        if relu:
+            g = g * (out_data > 0)
         if stride == 1:
             dx = _conv_grads(g, x.data.reshape(cin, h * wd), wm, w, b,
                              x.requires_grad)
@@ -757,6 +777,61 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 # -- sampling ----------------------------------------------------------------
 
 
+class _WindowPlan(NamedTuple):
+    starts: np.ndarray     # (L+1,) each level's flat start, then the slot
+    slot: int              # the one zero slot, after every level
+    exponents: np.ndarray  # (L, 1) the -l that scales centres to level l
+    lo: int                # clamp bounds of the window origin:
+    hi: np.ndarray         # (2, L, 1) per axis (x, then y) and level
+    table: np.ndarray      # window coordinate -> offset on the map, or slot
+    ramp: np.ndarray       # (2, L, k, 1) origin -> table index, per step
+    base: np.ndarray       # (L, N) each slice's flat start
+
+
+@functools.lru_cache(maxsize=64)
+def _window_plan(extents: tuple, n: int, radius: int) -> _WindowPlan:
+    """Everything ``window_sample`` indexes by, for (h, w) level
+    ``extents``, n slices and one radius; read-only.
+
+    A window of k = 2r+2 taps along one axis starts at its origin
+    o - r, where o is the floored centre clamped to [r - k, e + r], so
+    its coordinates lie in [-k, e + k) on a level of extent e. The
+    table holds one segment per axis and level, covering exactly those
+    coordinates: a column's entry is the column, a row's is the row
+    times the level's width, and an entry off the map is the slot.
+    ``ramp`` maps a clamped origin, plus a step, to its table index.
+    Cached per shape, the plan leaves a call about 12 numpy passes to
+    build its index; building it per call took about 30, and made the
+    whole forward about 1.35 times as slow on the 8x8 maps of a small
+    model.
+    """
+    k = 2 * radius + 2
+    nl = len(extents)
+    ext = np.array(extents, dtype=np.int64)          # (L, 2): h, w
+    starts = np.concatenate([[0], np.cumsum(n * ext[:, 0] * ext[:, 1])])
+    slot = int(starts[-1])
+    segments = []
+    ramp = np.empty((2, nl, k, 1), dtype=np.int64)
+    at = 0
+    for axis in range(2):
+        for lvl, (h, w) in enumerate(extents):
+            e, stride = (w, 1) if axis == 0 else (h, w)
+            coord = np.arange(-k, e + k)
+            segments.append(np.where((coord >= 0) & (coord < e),
+                                     coord * stride, slot))
+            ramp[axis, lvl, :, 0] = at + k - radius + np.arange(k)
+            at += e + 2 * k
+    plan = _WindowPlan(
+        starts=starts, slot=slot, exponents=-np.arange(nl)[:, None],
+        lo=radius - k, hi=ext[:, ::-1].T[:, :, None] + radius,
+        table=np.concatenate(segments), ramp=ramp,
+        base=starts[:-1, None] + np.arange(n) * (ext[:, :1] * ext[:, 1:]))
+    for arr in (plan.starts, plan.exponents, plan.hi, plan.table, plan.ramp,
+                plan.base):
+        arr.setflags(write=False)
+    return plan
+
+
 def window_sample(levels: Sequence[Tensor], centers: Tensor,
                   radius: int) -> Tensor:
     """Bilinear windows at every level: L x (N,h_l,w_l), (2,N) -> (L*S,N).
@@ -770,9 +845,15 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
 
     All levels are read from one flat copy of the pyramid ending in a
     single zero slot, through one index in which every off-map tap
-    points at that slot, so no level is padded. The backward runs the
-    adjoint of the two lerps, scatters into an unpadded flat gradient,
-    and recomputes the x-lerp from the windows for the centre gradient.
+    points at that slot, so no level is padded. Everything the index
+    depends on but the centres comes from a plan cached per (extents,
+    N, r) (``_window_plan``): a call floors and clamps the scaled
+    centres, looks up each window row's and column's flat offset in one
+    table ``take``, adds the slice starts, and sums rows and columns.
+    The backward runs the adjoint of the two lerps, scatters into an
+    unpadded flat gradient, and recomputes the x-lerp from the windows
+    for the centre gradient, whose per-level sums are two batched
+    einsums.
     """
     levels = list(levels)
     if not levels:
@@ -790,31 +871,25 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
         raise ContractError(f"window radius must be >= 0, got {radius}")
     nl = len(levels)
     k = 2 * radius + 2                 # window extent
-    ext = np.array([v.shape[1:] for v in levels])
-    hs, ws = ext[:, :1], ext[:, 1:]    # (L, 1) each
-    starts = np.cumsum([0] + [v.data.size for v in levels])
-    slot = starts[-1]                  # the one zero slot, after every level
+    plan = _window_plan(tuple(v.shape[1:] for v in levels), n, radius)
+    starts, slot = plan.starts, plan.slot
     flat = np.empty(slot + 1, dtype=centers.data.dtype)
     for vol, a, b in zip(levels, starts, starts[1:]):
         flat[a:b] = vol.data.reshape(-1)
     flat[slot] = 0.0
-    # level l reads centers * 2^-l, an exact product: (L, N) each
-    cx, cy = np.ldexp(centers.data[:, None], -np.arange(nl)[:, None])
-    x0, y0 = np.floor(cx), np.floor(cy)
-    fx, fy = (cx - x0)[:, None, None], (cy - y0)[:, None, None]
-    # window origin; a window wholly off the map is clamped just past
-    # its edge, so it still reads the zero slot only
-    xs = np.clip(x0.astype(np.int64) - radius, -k, ws)
-    ys = np.clip(y0.astype(np.int64) - radius, -k, hs)
-    steps = np.arange(k)[:, None]
-    col = xs[:, None] + steps          # (L, k, N)
-    row = ys[:, None] + steps
-    base = starts[:-1, None] + np.arange(n) * (hs * ws)          # slice n's start
-    col = np.where((col >= 0) & (col < ws[:, None]), col, slot)
-    row = np.where((row >= 0) & (row < hs[:, None]),
-                   base[:, None] + row * ws[:, None], slot)
+    # level l reads centers * 2^-l, an exact product: (2, L, N), x then y
+    c = np.ldexp(centers.data[:, None], plan.exponents)
+    c0 = np.floor(c)
+    frac = c - c0
+    fx, fy = frac[0][:, None, None], frac[1][:, None, None]
+    # the floored centre, clamped so a window wholly off the map starts
+    # just past its edge and still reads the zero slot only
+    origin = np.clip(c0.astype(np.int64), plan.lo, plan.hi)
+    # each window coordinate's row or column offset, or the slot
+    offs = plan.table.take(origin[:, :, None] + plan.ramp)        # (2, L, k, N)
+    row = offs[1] + plan.base[:, None]
     # an off-map row or column alone lifts the sum past the slot
-    lin = row[:, :, None] + col[:, None]                         # (L, k, k, N)
+    lin = row[:, :, None] + offs[0][:, None]                       # (L, k, k, N)
     np.minimum(lin, slot, out=lin)
     win = flat.take(lin)
     tx = win[:, :, 1:] - win[:, :, :-1]
@@ -856,12 +931,13 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
             dfx *= fy
             dfx += ddx[:, :-1]
             dfy = tx[:, 1:] - tx[:, :-1]
+            gx = np.einsum("lijn,lijn->ln", g, dfx)
+            gy = np.einsum("lijn,lijn->ln", g, dfy)
             # level l reads centers * 2^-l; sum from the coarsest level
             # down, the order in which per-level ops would accumulate
             gc = None
             for lvl in reversed(range(nl)):
-                term = np.stack([np.einsum("ijn,ijn->n", g[lvl], dfx[lvl]),
-                                 np.einsum("ijn,ijn->n", g[lvl], dfy[lvl])])
+                term = np.stack([gx[lvl], gy[lvl]])
                 term *= 0.5 ** lvl
                 gc = term if gc is None else gc + term
             centers._accum(gc)

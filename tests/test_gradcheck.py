@@ -108,3 +108,18 @@ class TestAuditCoverage:
         names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
         assert len(names) == len(set(names))
         assert set(names) == public
+
+    def test_conv2d_row_keeps_its_pre_activations_off_the_kink(self):
+        """The audit's conv row runs both convs with the ReLU epilogue.
+        At the draws ``check_operations`` makes (seed 101), each conv has
+        pre-activations on both sides of 0, none within 0.05 of it, so
+        the central differences never straddle the kink."""
+        with tt.precision(64):
+            cases = {name: params for name, params, _
+                     in _op_cases(np.random.default_rng(101))}
+            p = cases["conv2d"]
+            pre1 = conv2d(p["x"], p["w1"], Tensor(np.zeros(2), dtype=np.float64))
+            pre2 = conv2d(relu(pre1), p["w"], p["b"], stride=2)
+        for pre in (pre1.data, pre2.data):
+            assert (pre < 0).any() and (pre > 0).any()
+            assert np.abs(pre).min() > 0.05

@@ -1,5 +1,6 @@
 """Matching substrate: encoders, correlation, GRU loop, loss, accounting."""
 
+import collections
 import hashlib
 
 import numpy as np
@@ -302,6 +303,29 @@ class TestForward:
         preds = model.forward(rng.uniform(size=(3, 8, 8)),
                               rng.uniform(size=(3, 8, 8)))
         assert np.all(np.isfinite(preds[-1].data))
+
+    def test_narrow_agr_tape_inventory_is_pinned(self):
+        """One forward plus its loss at the narrow agr config (32x32,
+        c = 16, K = 8, 6 iterations) tapes 96 convs and 6 lookups. Of
+        its 81 ReLUs, the 55 that read a conv output run inside the conv,
+        so 26 relu nodes remain."""
+        cfg = ModelConfig(feature_channels=16, context_channels=16, nodes=8,
+                          graph="agr", seed=3)
+        rng = np.random.default_rng(20)
+        i1, i2 = rng.uniform(size=(2, 3, 32, 32))
+        gt = FlowField(flow=rng.normal(size=(2, 32, 32)).astype(np.float32))
+        loss = sequence_loss(FlowModel(cfg).forward(i1, i2), gt)
+        counts = collections.Counter()
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen.add(id(node))
+            counts[node._backward.__qualname__.split(".")[0]] += 1
+            stack.extend(node._parents)
+        assert (counts["relu"], counts["conv2d"], counts["window_sample"]) \
+            == (26, 96, 6)
 
 
 class TestSequenceLoss:

@@ -305,6 +305,36 @@ class TestConv2d:
                 {"x": x, "w": w, "b": b})
             assert rep.max_rel_err < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (1, 2), (3, 2)])
+    def test_relu_epilogue_is_bitwise_the_composed_relu(self, k, stride,
+                                                        dtype):
+        """Integer draws put pre-activations below and above 0, and a
+        zero corner of the map with a zero bias puts output (0, 0, 0)
+        exactly at 0. The output and the x, w and b gradients of the
+        epilogue match relu(conv2d(...)) bit for bit."""
+        rng = np.random.default_rng([k, stride])
+        xd = rng.integers(-2, 3, size=(3, 6, 5))
+        xd[:, :2, :2] = 0
+        wd = tap_major(rng.integers(-1, 2, size=(4, 3, k, k)).astype(dtype))
+        bd = rng.integers(-2, 3, size=4)
+        bd[0] = 0
+        gd = rng.normal(size=(4, (6 - 1) // stride + 1, (5 - 1) // stride + 1))
+        runs = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True, dtype=dtype)
+                       for a in (xd, wd, bd))
+            if fused:
+                out = conv2d(x, w, b, stride=stride, relu=True)
+            else:
+                pre = conv2d(x, w, b, stride=stride)
+                assert (pre.data == 0).any() and (pre.data < 0).any()
+                out = relu(pre)
+            tsum(mul(out, Tensor(gd, dtype=dtype))).backward()
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        for fused, composed in zip(*runs):
+            assert same_bits(fused, composed)
+
     def test_even_kernel_is_rejected(self):
         with pytest.raises(DimensionError):
             conv2d(c64(np.zeros((1, 4, 4))), c64(np.zeros((1, 1, 2, 2))),
@@ -450,6 +480,45 @@ class TestWindowSample:
                              window_sample([vol], centers, 2))),
             {"vol": vol, "centers": centers})
         assert rep.max_rel_err < 1e-6
+
+    def test_interleaved_shapes_each_give_their_own_bits(self):
+        """The per-shape plan cache holds two pyramids of different
+        extents and radii at once; each reads the same bits whether the
+        other ran in between or not, and no plan array can be written."""
+
+        def pyramid(seed, side, radius):
+            rng = np.random.default_rng(seed)
+            exts = [(side, side + 1)]
+            for _ in range(3):
+                exts.append(((exts[-1][0] + 1) // 2, (exts[-1][1] + 1) // 2))
+            n = side * (side + 1)
+            levels = [p64(rng.normal(size=(n, *e))) for e in exts]
+            centers = p64(rng.uniform(-6.0, side + 6.0, size=(2, n)))
+            weights = c64(rng.normal(size=(4 * (2 * radius + 1) ** 2, n)))
+            return levels, centers, weights, radius
+
+        def run(levels, centers, weights, radius):
+            for t in (*levels, centers):
+                t.grad = None
+            out = window_sample(levels, centers, radius)
+            tsum(mul(out, weights)).backward()
+            return [out.data, centers.grad, *(v.grad for v in levels)]
+
+        cases = (pyramid(31, 5, 1), pyramid(32, 8, 3))
+        tt._window_plan.cache_clear()
+        alone = []
+        for case in cases:
+            alone.append(run(*case))
+            tt._window_plan.cache_clear()
+        for _ in range(2):
+            for case, want in zip(cases, alone):
+                assert all(same_bits(a, b) for a, b in zip(run(*case), want))
+        assert tt._window_plan.cache_info().currsize == 2
+        plan = tt._window_plan(((5, 6), (3, 3), (2, 2), (1, 1)), 30, 1)
+        for arr in (plan.starts, plan.exponents, plan.hi, plan.table,
+                    plan.ramp, plan.base):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
     def test_slice_count_mismatch_is_rejected(self):
         with pytest.raises(DimensionError):
