@@ -157,6 +157,8 @@ def _cmd_gradcheck(args, cfg) -> int:
 
 
 def _cmd_bench(args, cfg) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from .counting import count_flops, count_params
@@ -181,23 +183,30 @@ def _cmd_bench(args, cfg) -> int:
             print(f"{name}\t{params.get(name, 0)}\t{flops.get(name, 0)}")
         print(f"total\t{params['total']}\t{flops['total']}")
 
-        c, k = model_cfg.context_channels, model_cfg.nodes
-        print(f"graph.base\t{analytic_param_count(c, k, 'base')}")
-        print(f"graph.sgr\t{analytic_param_count(c, k, 'sgr')}")
-        print(f"graph.agr\t{analytic_param_count(c, k, 'agr')}")
-        print(f"graph.adapter_delta\t{adapter_param_count(c, k)}")
-
         spec = DatasetSpec(height=args.size, width=args.size, seed=cfg.seed)
         frame1, frame2, _ = gen_pair(spec)
-        for _ in range(3):
-            model.predict(frame2, frame1)
-        samples = []
-        for _ in range(args.runs):
-            start = time.perf_counter()
-            model.predict(frame2, frame1)
-            samples.append(time.perf_counter() - start)
-        median_ms = float(np.median(samples)) * 1e3
-        print(f"latency_ms\t{median_ms:.2f}\t"
+
+        def median_latency_ms(m: FlowModel) -> float:
+            for _ in range(3):
+                m.predict(frame2, frame1)
+            samples = []
+            for _ in range(args.runs):
+                start = time.perf_counter()
+                m.predict(frame2, frame1)
+                samples.append(time.perf_counter() - start)
+            return float(np.median(samples)) * 1e3
+
+        # one model per graph mode; the configured mode's is the model above
+        latency = {mode: median_latency_ms(
+            model if mode == model_cfg.graph
+            else FlowModel(replace(model_cfg, graph=mode)))
+            for mode in GRAPH_MODES}
+        c, k = model_cfg.context_channels, model_cfg.nodes
+        for mode in GRAPH_MODES:
+            print(f"graph.{mode}\t{analytic_param_count(c, k, mode)}\t"
+                  f"{latency[mode]:.2f}")
+        print(f"graph.adapter_delta\t{adapter_param_count(c, k)}")
+        print(f"latency_ms\t{latency[model_cfg.graph]:.2f}\t"
               f"({args.runs} runs at {args.size}x{args.size})")
     return EXIT_OK
 

@@ -55,6 +55,13 @@ With ``relu=True`` a conv applies its ReLU in place on the GEMM
 output and masks its output gradient by out > 0, so a conv and the
 ReLU that reads it are one tape node, bitwise the two composed ops.
 
+The math of ``softmax``, ``l2_normalize`` and ``sigmoid`` lives in
+private array kernels (``_softmax`` and ``_softmax_grad``, and so on),
+which the graph stage's single-node functions call too, so each
+formula is written once. The model calls the three ops only through
+those nodes; the ops stay for the gradient audit and as the tests'
+composed references.
+
 The correlation lookup's op, ``window_sample``, reads every pyramid
 level in one tape node. It copies the levels into one flat buffer
 that ends in a single zero slot, and gathers one integer window per
@@ -288,11 +295,16 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     return out.astype(d.dtype, copy=False)
 
 
+def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sigmoid's input gradient from its output ``out``."""
+    return g * out * (1.0 - out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     out_data = _sigmoid(x.data)
 
     def backward(g):
-        x._accum(g * out_data * (1.0 - out_data))
+        x._accum(_sigmoid_grad(g, out_data))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -396,30 +408,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of an array over its last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The last-axis softmax's input gradient from its output ``out``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(x.data)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accum(out_data * (g - dot))
+        x._accum(_softmax_grad(g, out_data))
 
     return Tensor._from_op(out_data, (x,), backward)
 
 
+def _l2_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x / max(||x||_2, 1e-12) per column, with the norm and that floored
+    denominator, which the gradient reads."""
+    norm = np.sqrt((x * x).sum(axis=0, keepdims=True))
+    denom = np.maximum(norm, 1e-12)
+    return x / denom, norm, denom
+
+
+def _l2_normalize_grad(g: np.ndarray, x: np.ndarray, norm: np.ndarray,
+                       denom: np.ndarray) -> np.ndarray:
+    """The column L2 normalisation's input gradient; a column at the
+    floor passes g / 1e-12 and nothing else."""
+    dot = (g * x).sum(axis=0, keepdims=True)
+    live = (norm > 1e-12)
+    safe = np.where(live, norm, 1.0)
+    return g / denom - np.where(live, x * dot / (safe * denom * denom), 0.0)
+
+
 def l2_normalize(x: Tensor) -> Tensor:
     """x / max(||x||_2, 1e-12) for each column."""
-    norm = np.sqrt((x.data * x.data).sum(axis=0, keepdims=True))
-    denom = np.maximum(norm, 1e-12)
-    out_data = x.data / denom
+    out_data, norm, denom = _l2_normalize(x.data)
 
     def backward(g):
-        dot = (g * x.data).sum(axis=0, keepdims=True)
-        live = (norm > 1e-12)
-        safe = np.where(live, norm, 1.0)
-        x._accum(g / denom - np.where(live, x.data * dot / (safe * denom * denom), 0.0))
+        x._accum(_l2_normalize_grad(g, x.data, norm, denom))
 
     return Tensor._from_op(out_data, (x,), backward)
 

@@ -422,6 +422,8 @@ class TestBench:
         sgr = int(table["graph.sgr"][0])
         agr = int(table["graph.agr"][0])
         assert base < sgr < agr
+        for mode in ("base", "sgr", "agr"):
+            assert float(table[f"graph.{mode}"][1]) > 0   # median latency, ms
         assert agr - sgr == int(table["graph.adapter_delta"][0])
         assert float(table["latency_ms"][0]) > 0
         for component in ("feature_encoder", "context_encoder",

@@ -99,7 +99,8 @@ class TestFlopAccounting:
                                              mode):
         """Every conv and matmul of one forward pass, counted as 2*MACs
         at the call, adds up to count_flops exactly. A ConvGRU cell
-        counts its three gate convs."""
+        counts its three gate convs, and each graph-stage node the
+        products and 1x1 convs it runs."""
         executed = []
 
         def counted_conv2d(x, w, b, **kw):
@@ -120,10 +121,42 @@ class TestFlopAccounting:
                 executed.append(conv_flops(cin, cout, kk, *out.shape[1:]))
             return out
 
+        def count_graph_node(name, gemms):
+            """Each graph function is one node: count its GEMMs, (m, p, q)
+            per product, from the shapes of the call's arguments (a 1x1
+            conv's GEMM is (C_out, C_in, pixels))."""
+            fn = getattr(graph_mod, name)
+
+            def counted(*args):
+                executed.extend(matmul_flops(*mpq) for mpq in gemms(*args))
+                return fn(*args)
+
+            monkeypatch.setattr(graph_mod, name, counted)
+
+        def embed_gemms(f, conv1, conv2):
+            c, h, w = f.shape
+            mid, k = conv1.w.shape[0], conv2.w.shape[0]
+            return [(mid, c, h * w), (k, mid, h * w), (c, h * w, k)]
+
+        def fuse_gemms(fc, fm, ca_fc1, ca_fc2):
+            c, mid = fc.shape[0], ca_fc1.w.shape[0]
+            return [(mid, c, 1), (c, mid, 1)]
+
+        count_graph_node("embed_nodes", embed_gemms)
+        count_graph_node("build_adjacency", lambda v: [v.shape[::-1] + v.shape[1:]])
+        count_graph_node("gcn_step", lambda v, a, w: [
+            (v.shape[1], v.shape[1], v.shape[0]), (v.shape[1],) + w.shape])
+        count_graph_node("predict_adapter_kernel", lambda v, tw, tb: [
+            tw.shape + v.shape[1:]])
+        count_graph_node("graph_adapter", lambda v, kern, w1, b1: [
+            w1.shape + v.shape[1:], v.shape + kern.shape[1:],
+            v.shape[::-1] + v.shape[1:]])
+        count_graph_node("readout", lambda nodes, proj, shape: [
+            nodes.shape + proj.shape[:1]])
+        count_graph_node("attentive_fuse", fuse_gemms)
         monkeypatch.setattr(layers_mod, "conv2d", counted_conv2d)
         monkeypatch.setattr(model_mod, "conv_gru", counted_conv_gru)
         monkeypatch.setattr(model_mod, "matmul", counted_matmul)
-        monkeypatch.setattr(graph_mod, "matmul", counted_matmul)
         cfg = ModelConfig(feature_channels=c, context_channels=c, nodes=k,
                           refine_iters=3, graph=mode)
         img = np.random.default_rng(0).uniform(size=(3, size, size))

@@ -300,16 +300,19 @@ class TestGraphBlock:
 
 
 class TestGraphBlockGradients:
-    def test_end_to_end_finite_difference_check(self, f64):
+    @pytest.mark.parametrize("mode", ["base", "sgr", "agr"])
+    def test_end_to_end_finite_difference_check(self, f64, mode):
         """Every block parameter, gates included, against central differences.
 
         Gates are moved off zero first so the node pathway carries
         signal; at exact init its parameters have legitimately zero
-        gradient and the check would be vacuous there.
+        gradient and the check would be vacuous there. Base mode has no
+        gates: its shared graph feeds both streams ungated.
         """
-        blk = GraphBlock(4, 3, mode="agr", rng=np.random.default_rng(23))
-        blk.alpha.data = np.asarray(0.5)
-        blk.beta.data = np.asarray(-0.3)
+        blk = GraphBlock(4, 3, mode=mode, rng=np.random.default_rng(23))
+        if mode != "base":
+            blk.alpha.data = np.asarray(0.5)
+            blk.beta.data = np.asarray(-0.3)
         rng = np.random.default_rng(24)
         fc = t64(rng.normal(size=(4, 3, 3)))
         fm = t64(rng.normal(size=(4, 3, 3)))

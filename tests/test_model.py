@@ -35,6 +35,21 @@ def micro_cfg(**kw):
     return ModelConfig(**base)
 
 
+def taped_ops(roots, stop=()):
+    """Tape nodes reachable from ``roots``, by op name, not walking past
+    the ``stop`` tensors."""
+    counts = collections.Counter()
+    seen, stack = {id(t) for t in stop}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        counts[node._backward.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return counts
+
+
 @pytest.fixture
 def f64():
     with tt.precision(64):
@@ -306,26 +321,34 @@ class TestForward:
 
     def test_narrow_agr_tape_inventory_is_pinned(self):
         """One forward plus its loss at the narrow agr config (32x32,
-        c = 16, K = 8, 6 iterations) tapes 96 convs and 6 lookups. Of
-        its 81 ReLUs, the 55 that read a conv output run inside the conv,
-        so 26 relu nodes remain."""
+        c = 16, K = 8, 6 iterations) tapes 253 nodes: 70 convs and 6
+        lookups among them. The graph stage's 26 1x1 convs and 14 ReLUs
+        run inside its nodes, and of the other 67 ReLUs, the 55 that
+        read a conv output run inside the conv, so 12 relu nodes remain."""
         cfg = ModelConfig(feature_channels=16, context_channels=16, nodes=8,
                           graph="agr", seed=3)
         rng = np.random.default_rng(20)
         i1, i2 = rng.uniform(size=(2, 3, 32, 32))
         gt = FlowField(flow=rng.normal(size=(2, 32, 32)).astype(np.float32))
         loss = sequence_loss(FlowModel(cfg).forward(i1, i2), gt)
-        counts = collections.Counter()
-        seen, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or node._backward is None:
-                continue
-            seen.add(id(node))
-            counts[node._backward.__qualname__.split(".")[0]] += 1
-            stack.extend(node._parents)
+        counts = taped_ops([loss])
         assert (counts["relu"], counts["conv2d"], counts["window_sample"]) \
-            == (26, 96, 6)
+            == (12, 70, 6)
+        assert sum(counts.values()) == 253
+
+    @pytest.mark.parametrize("mode,context,forward",
+                             [("base", 0, 10), ("sgr", 7, 7), ("agr", 8, 7)])
+    def test_graph_stage_node_counts_are_pinned(self, mode, context, forward):
+        """Each graph function is one tape node (embedding is two), so
+        context_stage tapes 8 nodes in agr and a fusion call 7."""
+        model = FlowModel(micro_cfg(graph=mode))
+        rng = np.random.default_rng(21)
+        fc, fm = (Tensor(rng.normal(size=(4, 5, 5)), requires_grad=True)
+                  for _ in range(2))
+        cache = model.graph.context_stage(fc)
+        assert sum(taped_ops(cache.values()).values()) == context
+        out = model.graph.forward(fc, fm, cache)
+        assert sum(taped_ops([out], stop=cache.values()).values()) == forward
 
 
 class TestSequenceLoss:
