@@ -35,21 +35,25 @@ stride). Its weights have (O, I, k, k) extents in any memory order, but
 are fastest stored tap-major, with memory holding (O, k, k, I) as
 ``Conv2d`` keeps them: every GEMM then reads the weight, and writes its
 gradient, in that order without a copy. The im2col columns are
-tap-major too, and the tape keeps none. At stride 1 no padded copy is
-made: each tap's columns are one copy of the unpadded map, read flat
-and shifted by the tap's offset, and a few writes shared by all taps
-zero what falls off the map. Both gradients come from columns of the
-output gradient built the same way, with the taps reversed, so no
-flipped kernel is built. Strided convs copy one strided slice of a
-padded map per tap, rebuild their columns in the backward, and scatter
-the column gradient back tap by tap.
+tap-major too, and the tape keeps none. At stride 1 no padded map is
+made: the map is copied once, flat, between two zero margins, and one
+strided copy from that buffer fills every tap with the map shifted by
+the tap's offset; rows that fall off the map read the margins, and a
+few writes shared by all taps zero the columns that wrap round. Both
+gradients come from columns of the output gradient built the same way,
+with the taps reversed, so no flipped kernel is built. Strided convs
+copy every tap in one call from a strided view of a padded map, rebuild
+their columns in the backward, and scatter the column gradient back
+tap by tap.
 
 ``conv_gru`` is one ConvGRU cell as a single op. Its z and r gates
 read one stride-1 column build of [hidden; x], and the candidate gate
 reads the same buffer after only its hidden rows are rewritten with
 r * hidden, so a cell builds its columns once and is one tape node. It
 does the composed conv2d, sigmoid, tanh, mul and add arithmetic in
-their order, and its values and gradients are bitwise theirs.
+their order, and its values and gradients are bitwise theirs. The tape
+keeps neither the columns nor [hidden; x], which the backward stacks
+again.
 
 With ``relu=True`` a conv applies its ReLU in place on the GEMM
 output and masks its output gradient by out > 0, so a conv and the
@@ -71,10 +75,10 @@ depend only on the pyramid's shape and the radius (level starts,
 clamp bounds, slice starts, and row and column offset tables) are
 built once per shape and kept read-only, as the conv's shift plans
 are. It blends the windows separably, as a lerp along x and then one
-along y, and drops the intermediate. Its backward is the adjoint of
-the two lerps, scattered into an unpadded flat gradient whose
-contiguous slices are the levels' gradients; it recomputes the x-lerp
-for the centre gradient.
+along y, and keeps for the centre gradient the differences the two
+lerps took, not the windows. Its backward is the adjoint of the two
+lerps, scattered into an unpadded flat gradient whose contiguous
+slices are the levels' gradients.
 """
 
 from __future__ import annotations
@@ -331,11 +335,10 @@ def tsum(x: Tensor, axis: tuple | None = None, keepdims: bool = False) -> Tensor
     """Sum over ``axis``, a tuple of non-negative axes, or over every axis."""
     axes = tuple(range(x.data.ndim)) if axis is None else axis
     out_data = x.data.sum(axis=axes, keepdims=keepdims)
+    kept = tuple(1 if i in axes else e for i, e in enumerate(x.shape))
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        x._accum(np.broadcast_to(g, x.shape))
+        x._accum(np.broadcast_to(g.reshape(kept), x.shape))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -474,51 +477,51 @@ def _pad(a: np.ndarray, p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _shift_plan(k: int, h: int, w: int) -> tuple[tuple, tuple]:
-    """``_shift_taps``' copies and zero writes for one (k, h, w).
+def _shift_plan(k: int, w: int) -> tuple[int, tuple]:
+    """``_shift_taps``' margin and zero writes for one (k, w).
 
-    A copy (t, run, src_run) moves one contiguous run of the flat map
-    into tap t = ki*k + kj, shifted by s = dy*w + dx with (dy, dx) =
-    (ki, kj) - k // 2; a tap shifted past the whole map has none. Every
-    entry a run reads wrongly or leaves unwritten lies off the map, and
-    the 2(k-1) zero writes, indices into the (k, k, C, h, w) taps, cover
-    all of those: the rows that fall off and the columns that wrap
-    round, each write covering every tap with that offset. The plan is
-    cached per shape: on the 8x8 maps of a small model, working it out
-    per call made each column build about 1.6 times as slow.
+    Tap t = ki*k + kj reads the flat map shifted by s = dy*w + dx with
+    (dy, dx) = (ki, kj) - k // 2, so |s| is at most m = p*w + p, the
+    margin of zeros kept on each side of the flat map: a row that falls
+    off the map reads that margin. What a shift reads wrongly is only
+    the columns that wrap round into the row above or below, and the 2p
+    zero writes, indices into the (k, k, C, h, w) taps, cover those,
+    each write covering every tap with that column offset. The plan is
+    cached per (k, w): building it takes about 0.7 us, and a small
+    model's training step builds about 140 column buffers.
     """
-    p, n = k // 2, h * w
-    copies = []
-    for ki in range(k):
-        for kj in range(k):
-            s = (ki - p) * w + (kj - p)
-            lo, hi = max(0, -s), min(n, n - s)
-            if lo < hi:
-                copies.append((ki * k + kj, slice(lo, hi), slice(lo + s, hi + s)))
+    p = k // 2
     every = slice(None)
     zeros = []
     for d in range(1, p + 1):
-        zeros += [(p - d, every, every, slice(None, d)),
-                  (p + d, every, every, slice(max(h - d, 0), None)),
-                  (every, p - d, every, every, slice(None, d)),
+        zeros += [(every, p - d, every, every, slice(None, d)),
                   (every, p + d, every, every, slice(max(w - d, 0), None))]
-    return tuple(copies), tuple(zeros)
+    return p * w + p, tuple(zeros)
 
 
 def _shift_taps(taps: np.ndarray, src: np.ndarray, h: int, w: int) -> None:
     """Fill ``taps``, a (k, k, C, h*w) view, with shifted copies of the
     flat (C, h*w) map ``src``: taps[ki, kj, c, y*w + x] becomes
     src[c, (y+dy)*w + x+dx] with (dy, dx) = (ki, kj) - k // 2, and 0
-    where (y+dy, x+dx) falls off the map. Each tap is one copy of a
-    contiguous run, and 2(k-1) writes after the copies zero the rest
-    (``_shift_plan``).
+    where (y+dy, x+dx) falls off the map.
+
+    ``src`` is copied once into a buffer with a zero margin on each side
+    of every flat channel (``_shift_plan``). One strided view of that
+    buffer holds every tap, its tap axes stepping by a row and by a
+    column, so all k*k taps are one copy, and only the 2p writes of the
+    columns that wrap round follow it.
     """
     k = taps.shape[0]
-    copies, zeros = _shift_plan(k, h, w)
-    flat = taps.reshape(k * k, -1, h * w)    # views: only tap axes merge,
-    for t, run, src_run in copies:
-        flat[t, :, run] = src[:, src_run]
-    grid = taps.reshape(k, k, -1, h, w)      # and only the last axis splits
+    c, n = src.shape
+    m, zeros = _shift_plan(k, w)
+    flat = np.zeros((c, n + 2 * m), dtype=src.dtype)
+    flat[:, m:m + n] = src
+    step = flat.itemsize
+    # a view made straight over the fresh buffer; as_strided, which any
+    # view needs (``_im2col``), costs about 2.5 us more per call
+    taps[...] = np.ndarray((k, k, c, n), dtype=flat.dtype, buffer=flat,
+                           strides=(w * step, step, flat.strides[0], step))
+    grid = taps.reshape(k, k, c, h, w)   # a view: only the last axis splits
     for index in zeros:
         grid[index] = 0
 
@@ -531,7 +534,8 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     kj + stride*x] for every output pixel (y, x). At stride 1 the taps
     are flat shifts of the unpadded map (``_shift_taps``), and a 1x1
     conv reads the map itself through a reshape. A strided conv copies
-    each tap as one strided slice of a padded copy.
+    every tap in one call from a strided view of a padded copy, or of
+    the map itself at k = 1, which may be any view.
     """
     c, h, w = x.shape
     if stride == 1:
@@ -542,11 +546,11 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
         return cols.reshape(k * k * c, h * w)
     xp = _pad(x, k // 2)
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    sc, sy, sx = xp.strides
     cols = np.empty((k, k, c, ho, wo), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[ki, kj] = xp[:, ki:ki + stride * ho:stride,
-                              kj:kj + stride * wo:stride]
+    cols[...] = np.lib.stride_tricks.as_strided(
+        xp, (k, k, c, ho, wo), (sy, sx, sc, stride * sy, stride * sx),
+        writeable=False)
     return cols.reshape(k * k * c, ho * wo)
 
 
@@ -713,13 +717,15 @@ def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
     hidden rows are rewritten with the shifts of r * hidden, so a cell
     builds one (c + C_x)-channel column buffer plus a c-channel rewrite
     instead of three full ones, and is one tape node. The tape keeps no
-    columns. The backward is each gate's stride-1 conv backward
-    (``_conv_grads``), and the z and r input gradients are summed
-    before they split into hidden and x. Forward and backward do the
-    arithmetic of the composed conv2d, sigmoid, tanh, mul and add ops in
-    their order, and the hidden gradient adds its three terms in the
-    order the composed graph's backward walk would, so the cell and its
-    gradients are bitwise theirs.
+    columns and not hx: the backward stacks hx again, as it stacks
+    [r * hidden; x], for the weight gradients. The backward is each
+    gate's stride-1 conv backward (``_conv_grads``), and the z and r
+    input gradients are summed before they split into hidden and x.
+    Forward and backward do the arithmetic of the composed conv2d,
+    sigmoid, tanh, mul and add ops in their order, and the hidden
+    gradient adds its three terms in the order the composed graph's
+    backward walk would, so the cell and its gradients are bitwise
+    theirs.
     """
     _check_same_dtype(hidden, x, wz, bz, wr, br, wq, bq)
     if hidden.data.ndim != 3 or x.data.ndim != 3 \
@@ -737,9 +743,9 @@ def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
                 f"({c},) biases, got {w.shape} and {b.shape}")
 
     n = h * wd
-    hx = np.concatenate([hidden.data, x.data]).reshape(both, n)
-    cols = np.empty((k, k, both, n), dtype=hx.dtype)
-    _shift_taps(cols, hx, h, wd)
+    cols = np.empty((k, k, both, n), dtype=hidden.data.dtype)
+    _shift_taps(cols, np.concatenate([hidden.data, x.data]).reshape(both, n),
+                h, wd)
     cm = cols.reshape(k * k * both, n)
     wmz, wmr, wmq = _weight_matrix(wz), _weight_matrix(wr), _weight_matrix(wq)
     z = _sigmoid(_affine(wmz, cm, bz.data)).reshape(c, h, wd)
@@ -756,6 +762,7 @@ def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
         qin = np.concatenate([rh, x.data]).reshape(both, n)
         dqin = _conv_grads((g * z) * (1.0 - q * q), qin, wmq, wq, bq, True)
         grh = dqin[:c].reshape(c, h, wd)
+        hx = np.concatenate([hd, x.data]).reshape(both, n)
         dhx = _conv_grads(grh * hd * r * (1.0 - r), hx, wmr, wr, br, need_in)
         dhx_z = _conv_grads(gz * z * (1.0 - z), hx, wmz, wz, bz, need_in)
         if not need_in:
@@ -815,7 +822,7 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 class _WindowPlan(NamedTuple):
     starts: np.ndarray     # (L+1,) each level's flat start, then the slot
     slot: int              # the one zero slot, after every level
-    exponents: np.ndarray  # (L, 1) the -l that scales centres to level l
+    scales: np.ndarray     # (L, 1) the 2^-l that scales centres to level l
     lo: int                # clamp bounds of the window origin:
     hi: np.ndarray         # (2, L, 1) per axis (x, then y) and level
     table: np.ndarray      # window coordinate -> offset on the map, or slot
@@ -824,9 +831,11 @@ class _WindowPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _window_plan(extents: tuple, n: int, radius: int) -> _WindowPlan:
-    """Everything ``window_sample`` indexes by, for (h, w) level
-    ``extents``, n slices and one radius; read-only.
+def _window_plan(extents: tuple, n: int, radius: int,
+                 dtype: np.dtype) -> _WindowPlan:
+    """Everything ``window_sample`` indexes and scales by, for (h, w)
+    level ``extents``, n slices, one radius and the centres' dtype;
+    read-only.
 
     A window of k = 2r+2 taps along one axis starts at its origin
     o - r, where o is the floored centre clamped to [r - k, e + r], so
@@ -834,11 +843,13 @@ def _window_plan(extents: tuple, n: int, radius: int) -> _WindowPlan:
     table holds one segment per axis and level, covering exactly those
     coordinates: a column's entry is the column, a row's is the row
     times the level's width, and an entry off the map is the slot.
-    ``ramp`` maps a clamped origin, plus a step, to its table index.
-    Cached per shape, the plan leaves a call about 12 numpy passes to
-    build its index; building it per call took about 30, and made the
-    whole forward about 1.35 times as slow on the 8x8 maps of a small
-    model.
+    ``ramp`` maps a clamped origin, plus a step, to its table index, and
+    ``scales`` holds the powers of two in the centres' dtype, so a
+    product with them is numpy's ``ldexp``, bit for bit. Cached per
+    shape, the plan leaves a call about 11 numpy calls to scale, floor
+    and clamp the centres and build its index; building it per call
+    took about 30, and made the whole forward about 1.35 times as slow
+    on the 8x8 maps of a small model.
     """
     k = 2 * radius + 2
     nl = len(extents)
@@ -857,11 +868,12 @@ def _window_plan(extents: tuple, n: int, radius: int) -> _WindowPlan:
             ramp[axis, lvl, :, 0] = at + k - radius + np.arange(k)
             at += e + 2 * k
     plan = _WindowPlan(
-        starts=starts, slot=slot, exponents=-np.arange(nl)[:, None],
+        starts=starts, slot=slot,
+        scales=(0.5 ** np.arange(nl)[:, None]).astype(dtype),
         lo=radius - k, hi=ext[:, ::-1].T[:, :, None] + radius,
         table=np.concatenate(segments), ramp=ramp,
         base=starts[:-1, None] + np.arange(n) * (ext[:, :1] * ext[:, 1:]))
-    for arr in (plan.starts, plan.exponents, plan.hi, plan.table, plan.ramp,
+    for arr in (plan.starts, plan.scales, plan.hi, plan.table, plan.ramp,
                 plan.base):
         arr.setflags(write=False)
     return plan
@@ -882,13 +894,21 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
     single zero slot, through one index in which every off-map tap
     points at that slot, so no level is padded. Everything the index
     depends on but the centres comes from a plan cached per (extents,
-    N, r) (``_window_plan``): a call floors and clamps the scaled
-    centres, looks up each window row's and column's flat offset in one
-    table ``take``, adds the slice starts, and sums rows and columns.
-    The backward runs the adjoint of the two lerps, scatters into an
-    unpadded flat gradient, and recomputes the x-lerp from the windows
-    for the centre gradient, whose per-level sums are two batched
-    einsums.
+    N, r, dtype) (``_window_plan``): a call scales the centres by its
+    powers of two, floors and clamps them, looks up each window row's
+    and column's flat offset in one table ``take``, adds the slice
+    starts, and sums rows and columns.
+
+    The forward keeps each difference it takes in its own buffer: the
+    windows' x-differences ``ddx`` (L, k, k-1, N) and the x-lerp's
+    y-differences ``dfy`` (L, k-1, k-1, N). The tape holds those, the
+    fractions and the int64 gather index, but not the windows or the
+    x-lerp. The backward runs the adjoint of the two lerps and scatters
+    into an unpadded flat gradient. The centre gradient reads the
+    y-lerp of ``ddx`` (d out / d fx) and ``dfy`` (d out / d fy), each
+    in one batched einsum with the output gradient; one multiply scales
+    the stacked per-level terms by 2^-l, and they are summed coarsest
+    level first.
     """
     levels = list(levels)
     if not levels:
@@ -906,20 +926,23 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
         raise ContractError(f"window radius must be >= 0, got {radius}")
     nl = len(levels)
     k = 2 * radius + 2                 # window extent
-    plan = _window_plan(tuple(v.shape[1:] for v in levels), n, radius)
-    starts, slot = plan.starts, plan.slot
+    plan = _window_plan(tuple(v.shape[1:] for v in levels), n, radius,
+                        centers.data.dtype)
+    starts, slot, scales = plan.starts, plan.slot, plan.scales
     flat = np.empty(slot + 1, dtype=centers.data.dtype)
     for vol, a, b in zip(levels, starts, starts[1:]):
         flat[a:b] = vol.data.reshape(-1)
     flat[slot] = 0.0
-    # level l reads centers * 2^-l, an exact product: (2, L, N), x then y
-    c = np.ldexp(centers.data[:, None], plan.exponents)
+    # level l reads centers * 2^-l: (2, L, N), x then y
+    c = centers.data[:, None] * scales
     c0 = np.floor(c)
     frac = c - c0
     fx, fy = frac[0][:, None, None], frac[1][:, None, None]
     # the floored centre, clamped so a window wholly off the map starts
     # just past its edge and still reads the zero slot only
-    origin = np.clip(c0.astype(np.int64), plan.lo, plan.hi)
+    origin = c0.astype(np.int64)
+    np.maximum(origin, plan.lo, out=origin)
+    np.minimum(origin, plan.hi, out=origin)
     # each window coordinate's row or column offset, or the slot
     offs = plan.table.take(origin[:, :, None] + plan.ramp)        # (2, L, k, N)
     row = offs[1] + plan.base[:, None]
@@ -927,12 +950,12 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
     lin = row[:, :, None] + offs[0][:, None]                       # (L, k, k, N)
     np.minimum(lin, slot, out=lin)
     win = flat.take(lin)
-    tx = win[:, :, 1:] - win[:, :, :-1]
-    tx *= fx
-    tx += win[:, :, :-1]               # lerp along x: (L, k, k-1, N)
-    out = tx[:, 1:] - tx[:, :-1]
-    out *= fy
-    out += tx[:, :-1]                  # lerp along y: (L, k-1, k-1, N)
+    ddx = win[:, :, 1:] - win[:, :, :-1]   # x-differences: (L, k, k-1, N)
+    tx = ddx * fx
+    tx += win[:, :, :-1]                   # lerp along x
+    dfy = tx[:, 1:] - tx[:, :-1]           # y-differences: (L, k-1, k-1, N)
+    out = dfy * fy
+    out += tx[:, :-1]                      # lerp along y
     out_data = out.reshape(-1, n)
 
     def backward(g):
@@ -945,7 +968,7 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
             gtx[:, -1] = gf[:, -1]
             gtx[:, 1:-1] += gf[:, :-1]
             gf = gtx * fx
-            gwin = np.empty_like(win)
+            gwin = np.empty((nl, k, k, n), dtype=g.dtype)
             np.subtract(gtx, gf, out=gwin[:, :, :-1])
             gwin[:, :, -1] = gf[:, :, -1]
             gwin[:, :, 1:-1] += gf[:, :, :-1]
@@ -957,24 +980,18 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
                 if vol.requires_grad:
                     vol._accum(gflat[a:b].reshape(vol.shape))
         if centers.requires_grad:
-            ddx = win[:, :, 1:] - win[:, :, :-1]
-            tx = ddx * fx
-            tx += win[:, :, :-1]
-            # d out / d fx is the y-lerp of ddx; d out / d fy is the
-            # difference of the x-lerps
+            # d out / d fx is the y-lerp of ddx; d out / d fy is dfy
             dfx = ddx[:, 1:] - ddx[:, :-1]
             dfx *= fy
             dfx += ddx[:, :-1]
-            dfy = tx[:, 1:] - tx[:, :-1]
-            gx = np.einsum("lijn,lijn->ln", g, dfx)
-            gy = np.einsum("lijn,lijn->ln", g, dfy)
-            # level l reads centers * 2^-l; sum from the coarsest level
-            # down, the order in which per-level ops would accumulate
-            gc = None
-            for lvl in reversed(range(nl)):
-                term = np.stack([gx[lvl], gy[lvl]])
-                term *= 0.5 ** lvl
-                gc = term if gc is None else gc + term
+            terms = np.stack([np.einsum("lijn,lijn->ln", g, dfx),
+                              np.einsum("lijn,lijn->ln", g, dfy)])
+            terms *= scales                # level l reads centers * 2^-l
+            # sum from the coarsest level down, the order in which
+            # per-level ops would accumulate
+            gc = terms[:, -1]
+            for lvl in range(nl - 2, -1, -1):
+                gc = gc + terms[:, lvl]
             centers._accum(gc)
 
     return Tensor._from_op(out_data, (*levels, centers), backward)

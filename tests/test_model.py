@@ -336,6 +336,52 @@ class TestForward:
             == (12, 70, 6)
         assert sum(counts.values()) == 253
 
+    def test_narrow_agr_tape_keeps_no_windows_and_no_stacked_gru_input(self):
+        """What the lookup and GRU nodes hold for their backward, after a
+        narrow agr forward: no lookup closure holds a float array of the
+        windows' (L, k, k, N) extents, only the int64 gather index of
+        those extents, and no GRU closure holds [hidden; x], which its
+        backward stacks again. Arrays count with every base they keep
+        alive."""
+        cfg = ModelConfig(feature_channels=16, context_channels=16, nodes=8,
+                          graph="agr", seed=3)
+        rng = np.random.default_rng(20)
+        i1, i2 = rng.uniform(size=(2, 3, 32, 32))
+        gt = FlowField(flow=rng.normal(size=(2, 32, 32)).astype(np.float32))
+        loss = sequence_loss(FlowModel(cfg).forward(i1, i2), gt)
+
+        def held(node):
+            """Every array the node's closure keeps alive."""
+            arrays = []
+            for cell in node._backward.__closure__:
+                a = cell.cell_contents
+                while isinstance(a, np.ndarray):
+                    arrays.append(a)
+                    a = a.base
+            return arrays
+
+        nodes, seen, stack = collections.defaultdict(list), set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._backward is None:
+                continue
+            seen.add(id(node))
+            nodes[node._backward.__qualname__.split(".")[0]].append(node)
+            stack.extend(node._parents)
+        assert len(nodes["window_sample"]) == 6
+        k = 2 * cfg.lookup_radius + 2
+        for node in nodes["window_sample"]:
+            *levels, _ = node._parents
+            extents = (len(levels), k, k, levels[0].shape[0])
+            kinds = {a.dtype.kind for a in held(node) if a.shape == extents}
+            assert kinds == {"i"}
+        assert len(nodes["conv_gru"]) == 6
+        for node in nodes["conv_gru"]:
+            hidden, x = node._parents[:2]
+            (c, h, w), cx = hidden.shape, x.shape[0]
+            shapes = {a.shape for a in held(node)}
+            assert not shapes & {(c + cx, h * w), (c + cx, h, w)}
+
     @pytest.mark.parametrize("mode,context,forward",
                              [("base", 0, 10), ("sgr", 7, 7), ("agr", 8, 7)])
     def test_graph_stage_node_counts_are_pinned(self, mode, context, forward):

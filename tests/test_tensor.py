@@ -293,6 +293,30 @@ class TestConv2d:
             assert np.array_equal(w.grad, dw)
             assert np.array_equal(b.grad, db)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_strided_conv_of_a_transposed_map_matches_the_oracles(self, k):
+        """A strided conv copies its columns from a strided view of its
+        padded map, which at k = 1 is the map itself, here one with its
+        leading axes swapped, contiguous in neither order. Forward and
+        backward match the loop oracles bit for bit."""
+        rng = np.random.default_rng([k, 14])
+        xd = rng.integers(-3, 4, size=(6, 2, 7)).astype(np.float64)
+        xd = xd.transpose(1, 0, 2)
+        wd = rng.integers(-3, 4, size=(4, 2, k, k)).astype(np.float64)
+        bd = rng.integers(-3, 4, size=4).astype(np.float64)
+        x, w, b = p64(xd), p64(tap_major(wd)), p64(bd)
+        assert not (x.data.flags.c_contiguous or x.data.flags.f_contiguous)
+        out = conv2d(x, w, b, stride=2)
+        want = naive_conv2d(xd, wd, bd, stride=2, padding=k // 2)
+        assert same_bits(out.data, want)
+        g = rng.integers(-3, 4, size=out.shape).astype(np.float64)
+        tsum(mul(out, c64(g))).backward()
+        dx, dw, db = naive_conv2d_backward(xd, wd, g, stride=2,
+                                           padding=k // 2)
+        for got, ref in ((x.grad, dx), (w.grad, dw), (b.grad, db)):
+            assert same_bits(np.ascontiguousarray(got),
+                             np.ascontiguousarray(ref))
+
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(12)
         x = p64(rng.normal(size=(2, 6, 6)))
@@ -514,8 +538,9 @@ class TestWindowSample:
             for case, want in zip(cases, alone):
                 assert all(same_bits(a, b) for a, b in zip(run(*case), want))
         assert tt._window_plan.cache_info().currsize == 2
-        plan = tt._window_plan(((5, 6), (3, 3), (2, 2), (1, 1)), 30, 1)
-        for arr in (plan.starts, plan.exponents, plan.hi, plan.table,
+        plan = tt._window_plan(((5, 6), (3, 3), (2, 2), (1, 1)), 30, 1,
+                               np.dtype(np.float64))
+        for arr in (plan.starts, plan.scales, plan.hi, plan.table,
                     plan.ramp, plan.base):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0

@@ -99,14 +99,15 @@ def run(sample, levels, centers, radius, readout):
 
 
 def assert_bitwise(got, want):
+    """Byte for byte: ``array_equal`` would take -0.0 for 0.0."""
     (out_g, grads_g), (out_w, grads_w) = got, want
-    assert out_g.dtype == out_w.dtype
-    assert np.array_equal(out_g, out_w)
+    assert out_g.dtype == out_w.dtype and out_g.shape == out_w.shape
+    assert out_g.tobytes() == out_w.tobytes()
     for gg, gw in zip(grads_g, grads_w):
         assert (gg is None) == (gw is None)
         if gw is not None:
             assert gg.dtype == gw.dtype and gg.shape == gw.shape
-            assert np.array_equal(gg, gw)
+            assert gg.tobytes() == gw.tobytes()
 
 
 def pyramid_inputs(rng, n_levels, h, w, dtype, placement):
@@ -123,6 +124,15 @@ def pyramid_inputs(rng, n_levels, h, w, dtype, placement):
     elif placement == "straddling":
         c = rng.choice([-1.0, 1.0], size=(2, n)) * rng.uniform(0, 3, size=(2, n))
         c += rng.integers(0, 2, size=(2, n)) * (ext - 1)
+    elif placement == "far":
+        # about +-1e6, so the clamped origins sit at the clamp bounds
+        c = rng.choice([-1.0, 1.0], size=(2, n)) * rng.uniform(1e6, 2e6,
+                                                              size=(2, n))
+    elif placement == "tiny":
+        # subnormal centres, some of them zero: scaling a subnormal by
+        # 2^-l rounds, and any -0.0 must keep its sign
+        tick = float(np.finfo(dtype).smallest_subnormal)
+        c = rng.integers(-64, 65, size=(2, n)) * tick
     else:
         # far enough that even the coarsest level's windows miss the map
         side = rng.choice([-1.0, 1.0], size=(2, n))
@@ -136,7 +146,8 @@ class TestBitwiseAgainstPerLevelOps:
     @settings(max_examples=60, deadline=None)
     @given(h=st.integers(1, 9), w=st.integers(1, 7),
            n_levels=st.integers(1, 4), radius=st.integers(0, 3),
-           placement=st.sampled_from(["inside", "straddling", "off"]),
+           placement=st.sampled_from(["inside", "straddling", "off", "far",
+                                      "tiny"]),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_forward_and_every_gradient(self, h, w, n_levels, radius,
@@ -149,7 +160,7 @@ class TestBitwiseAgainstPerLevelOps:
         fused = run(window_sample, levels, centers, radius, readout)
         composed = run(composed_window_sample, levels, centers, radius, readout)
         assert_bitwise(fused, composed)
-        if placement == "off":
+        if placement in ("off", "far"):
             assert not fused[0].any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
