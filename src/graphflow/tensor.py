@@ -950,9 +950,11 @@ def window_sample(levels: Sequence[Tensor], centers: Tensor,
     lin = row[:, :, None] + offs[0][:, None]                       # (L, k, k, N)
     np.minimum(lin, slot, out=lin)
     win = flat.take(lin)
+    del flat, offs, row
     ddx = win[:, :, 1:] - win[:, :, :-1]   # x-differences: (L, k, k-1, N)
     tx = ddx * fx
     tx += win[:, :, :-1]                   # lerp along x
+    del win
     dfy = tx[:, 1:] - tx[:, :-1]           # y-differences: (L, k-1, k-1, N)
     out = dfy * fy
     out += tx[:, :-1]                      # lerp along y
