@@ -49,9 +49,6 @@ class FlowField:
             raise DimensionError(
                 f"valid mask {self.valid.shape} does not match flow {arr.shape}")
 
-    def valid_mask(self) -> np.ndarray:
-        return self.valid
-
 
 @dataclass
 class DatasetSpec:
@@ -344,7 +341,7 @@ def _metric_inputs(pred: np.ndarray, gt: FlowField):
     if pred.shape != garr.shape:
         raise DimensionError(
             f"prediction {pred.shape} does not match ground truth {garr.shape}")
-    valid = gt.valid_mask()
+    valid = gt.valid
     if not valid.any():
         raise ContractError("no valid pixels to evaluate")
     err = np.sqrt(((pred.astype(np.float64) - garr.astype(np.float64)) ** 2)

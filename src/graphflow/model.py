@@ -233,7 +233,7 @@ def sequence_loss(preds: list[Tensor], gt: FlowField) -> Tensor:
     if not preds:
         raise ContractError("sequence_loss needs at least one prediction")
     garr = gt.flow
-    valid = gt.valid_mask()
+    valid = gt.valid
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ContractError("no valid pixels in the ground truth")

@@ -35,25 +35,24 @@ stride). Its weights have (O, I, k, k) extents in any memory order, but
 are fastest stored tap-major, with memory holding (O, k, k, I) as
 ``Conv2d`` keeps them: every GEMM then reads the weight, and writes its
 gradient, in that order without a copy. The im2col columns are
-tap-major too, and the tape keeps none. At stride 1 no padded map is
-made: the map is copied once, flat, between two zero margins, and one
+tap-major too, and the tape keeps none. No padded map is made at any
+stride: the map is copied once, flat, between two zero margins, and one
 strided copy from that buffer fills every tap with the map shifted by
-the tap's offset; rows that fall off the map read the margins, and a
-few writes shared by all taps zero the columns that wrap round. Both
-gradients come from columns of the output gradient built the same way,
-with the taps reversed, so no flipped kernel is built. Strided convs
-copy every tap in one call from a strided view of a padded map, rebuild
-their columns in the backward, and scatter the column gradient back
-tap by tap.
+the tap's offset and read at the stride; rows that fall off the map
+read the margins, and a few writes shared by all taps zero the columns
+that wrap round. At stride 1 both gradients come from columns of the
+output gradient built the same way, with the taps reversed, so no
+flipped kernel is built. Strided convs rebuild their columns in the
+backward, and scatter the column gradient back tap by tap.
 
 ``conv_gru`` is one ConvGRU cell as a single op. Its z and r gates
 read one stride-1 column build of [hidden; x], and the candidate gate
 reads the same buffer after only its hidden rows are rewritten with
-r * hidden, so a cell builds its columns once and is one tape node. It
-does the composed conv2d, sigmoid, tanh, mul and add arithmetic in
-their order, and its values and gradients are bitwise theirs. The tape
-keeps neither the columns nor [hidden; x], which the backward stacks
-again.
+the shifts of r * hidden, so a cell builds its columns once and is one
+tape node. It does the composed conv2d, sigmoid, tanh, mul and add
+arithmetic in their order, and its values and gradients are bitwise
+theirs. The tape keeps neither the columns nor [hidden; x], which the
+backward stacks again.
 
 With ``relu=True`` a conv applies its ReLU in place on the GEMM
 output and masks its output gradient by out > 0, so a conv and the
@@ -465,65 +464,60 @@ def l2_normalize(x: Tensor) -> Tensor:
 # -- convolution and pooling -------------------------------------------------
 
 
-def _pad(a: np.ndarray, p: int) -> np.ndarray:
-    """Copy of a (C, H, W) map inside a zeroed (C, H+2p, W+2p) buffer;
-    ``a`` itself when p is 0."""
-    if p == 0:
-        return a
-    c, h, w = a.shape
-    out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=a.dtype)
-    out[:, p:p + h, p:p + w] = a
-    return out
-
-
 @functools.lru_cache(maxsize=64)
-def _shift_plan(k: int, w: int) -> tuple[int, tuple]:
-    """``_shift_taps``' margin and zero writes for one (k, w).
+def _shift_plan(k: int, w: int, stride: int) -> tuple[int, tuple]:
+    """``_shift_taps``' margin and zero writes for one (k, w, stride).
 
-    Tap t = ki*k + kj reads the flat map shifted by s = dy*w + dx with
-    (dy, dx) = (ki, kj) - k // 2, so |s| is at most m = p*w + p, the
-    margin of zeros kept on each side of the flat map: a row that falls
-    off the map reads that margin. What a shift reads wrongly is only
-    the columns that wrap round into the row above or below, and the 2p
-    zero writes, indices into the (k, k, C, h, w) taps, cover those,
+    Tap (ki, kj) of output pixel (y, x) reads the map at (s*y + dy,
+    s*x + dx) with (dy, dx) = (ki, kj) - k // 2 and s the stride, so its
+    flat offset is off the pixel's by at most m = p*w + p, the margin of
+    zeros kept on each side of the flat map: a row that falls off the
+    map reads that margin. What a tap reads wrongly is only the columns
+    s*x + dx that wrap round into the row above or below, and the 2p
+    zero writes, indices into the (k, k, C, ho, wo) taps, cover those,
     each write covering every tap with that column offset. The plan is
-    cached per (k, w): building it takes about 0.7 us, and a small
-    model's training step builds about 140 column buffers.
+    cached per (k, w, stride): building it takes about 1 us, a cached
+    lookup under 0.1 us, and a small model's training step builds about
+    140 column buffers.
     """
     p = k // 2
     every = slice(None)
     zeros = []
     for d in range(1, p + 1):
-        zeros += [(every, p - d, every, every, slice(None, d)),
-                  (every, p + d, every, every, slice(max(w - d, 0), None))]
+        # dx = -d wraps for s*x < d, dx = d for s*x >= w - d
+        zeros += [(every, p - d, every, every, slice(None, -(-d // stride))),
+                  (every, p + d, every, every,
+                   slice(max(-(-(w - d) // stride), 0), None))]
     return p * w + p, tuple(zeros)
 
 
-def _shift_taps(taps: np.ndarray, src: np.ndarray, h: int, w: int) -> None:
-    """Fill ``taps``, a (k, k, C, h*w) view, with shifted copies of the
-    flat (C, h*w) map ``src``: taps[ki, kj, c, y*w + x] becomes
-    src[c, (y+dy)*w + x+dx] with (dy, dx) = (ki, kj) - k // 2, and 0
-    where (y+dy, x+dx) falls off the map.
+def _shift_taps(taps: np.ndarray, src: np.ndarray, w: int,
+                stride: int) -> None:
+    """Fill ``taps``, a (k, k, C, ho, wo) view, with the taps of the flat
+    (C, h*w) map ``src`` read at ``stride``: taps[ki, kj, c, y, x]
+    becomes src[c, (s*y+dy)*w + s*x+dx] with (dy, dx) = (ki, kj) - k // 2
+    and s the stride, and 0 where (s*y+dy, s*x+dx) falls off the map.
 
     ``src`` is copied once into a buffer with a zero margin on each side
     of every flat channel (``_shift_plan``). One strided view of that
     buffer holds every tap, its tap axes stepping by a row and by a
-    column, so all k*k taps are one copy, and only the 2p writes of the
-    columns that wrap round follow it.
+    column and its output axes by s rows and s columns, so all k*k taps
+    are one copy, and only the 2p writes of the columns that wrap round
+    follow it.
     """
     k = taps.shape[0]
     c, n = src.shape
-    m, zeros = _shift_plan(k, w)
+    m, zeros = _shift_plan(k, w, stride)
     flat = np.zeros((c, n + 2 * m), dtype=src.dtype)
     flat[:, m:m + n] = src
     step = flat.itemsize
-    # a view made straight over the fresh buffer; as_strided, which any
-    # view needs (``_im2col``), costs about 2.5 us more per call
-    taps[...] = np.ndarray((k, k, c, n), dtype=flat.dtype, buffer=flat,
-                           strides=(w * step, step, flat.strides[0], step))
-    grid = taps.reshape(k, k, c, h, w)   # a view: only the last axis splits
+    # a view made straight over the fresh buffer; as_strided costs about
+    # 2.5 us more per call
+    taps[...] = np.ndarray(taps.shape, dtype=flat.dtype, buffer=flat,
+                           strides=(w * step, step, flat.strides[0],
+                                    stride * w * step, stride * step))
     for index in zeros:
-        grid[index] = 0
+        taps[index] = 0
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -531,26 +525,16 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     by p = k // 2.
 
     Row (ki, kj, c) holds the padded map at [c, ki + stride*y,
-    kj + stride*x] for every output pixel (y, x). At stride 1 the taps
-    are flat shifts of the unpadded map (``_shift_taps``), and a 1x1
-    conv reads the map itself through a reshape. A strided conv copies
-    every tap in one call from a strided view of a padded copy, or of
-    the map itself at k = 1, which may be any view.
+    kj + stride*x] for every output pixel (y, x). The taps are shifts of
+    the unpadded map read at the stride (``_shift_taps``); a stride-1
+    1x1 conv reads the map itself through a reshape.
     """
     c, h, w = x.shape
-    if stride == 1:
-        if k == 1:
-            return x.reshape(c, h * w)
-        cols = np.empty((k, k, c, h * w), dtype=x.dtype)
-        _shift_taps(cols, x.reshape(c, h * w), h, w)
-        return cols.reshape(k * k * c, h * w)
-    xp = _pad(x, k // 2)
+    if k == 1 and stride == 1:
+        return x.reshape(c, h * w)
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    sc, sy, sx = xp.strides
     cols = np.empty((k, k, c, ho, wo), dtype=x.dtype)
-    cols[...] = np.lib.stride_tricks.as_strided(
-        xp, (k, k, c, ho, wo), (sy, sx, sc, stride * sy, stride * sx),
-        writeable=False)
+    _shift_taps(cols, x.reshape(c, h * w), w, stride)
     return cols.reshape(k * k * c, ho * wo)
 
 
@@ -561,17 +545,17 @@ def _grad_cols(g: np.ndarray, k: int) -> np.ndarray:
     Row (o, ki, kj) holds the padded gradient at [o, k-1-ki + y,
     k-1-kj + x] for every input pixel (y, x): the stride-1 conv's
     transpose is a correlation with the flipped kernel, and reversing
-    the taps here flips it instead. The taps are flat shifts of the
-    unpadded gradient, written through a (k, k, O, h*w) transposed view
-    of the buffer with both tap axes reversed: the view's tap (ki, kj)
-    is the buffer's (k-1-ki, k-1-kj).
+    the taps here flips it instead. The taps are shifts of the unpadded
+    gradient (``_shift_taps``), written through a (k, k, O, h, w)
+    transposed view of the buffer with both tap axes reversed: the
+    view's tap (ki, kj) is the buffer's (k-1-ki, k-1-kj).
     """
     c, h, w = g.shape
     if k == 1:
         return g.reshape(c, h * w)
-    cols = np.empty((c, k, k, h * w), dtype=g.dtype)
-    _shift_taps(cols.transpose(1, 2, 0, 3)[::-1, ::-1], g.reshape(c, h * w),
-                h, w)
+    cols = np.empty((c, k, k, h, w), dtype=g.dtype)
+    _shift_taps(cols.transpose(1, 2, 0, 3, 4)[::-1, ::-1],
+                g.reshape(c, h * w), w, 1)
     return cols.reshape(c * k * k, h * w)
 
 
@@ -642,18 +626,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1,
     output is ceil(H / stride) by ceil(W / stride). The forward runs as
     tap-major im2col plus one GEMM with the weight read as
     (C_out, k*k*C_in): a free view of a tap-major weight, a copy of any
-    other. The tape keeps no columns at any stride. At stride 1 neither
-    the map nor the output gradient is padded: each is spread into
-    columns by flat shifts (``_shift_taps``), the gradient with its taps
-    reversed. The gradient's columns, in a GEMM with the weight read as
-    (C_out*k*k, C_in), transposed, give the input gradient (a transposed
-    conv), and in a GEMM with the input map the weight gradient
-    (``_conv_grads``). At stride > 1 the weight gradient rebuilds the
-    forward columns, and the input gradient re-scatters the column
-    gradient with k*k strided slice additions: a transposed conv there
-    would multiply by the zeros of a gradient dilated by the stride,
-    stride**2 times the FLOPs. Either way the weight gradient comes out
-    tap-major, the order a tap-major weight holds.
+    other. The tape keeps no columns at any stride. Neither the map nor
+    the output gradient is padded: each is spread into columns by flat
+    shifts read at the stride (``_shift_taps``), the gradient, at stride
+    1, with its taps reversed. The gradient's columns, in a GEMM with
+    the weight read as (C_out*k*k, C_in), transposed, give the input
+    gradient (a transposed conv), and in a GEMM with the input map the
+    weight gradient (``_conv_grads``). At stride > 1 the weight gradient
+    rebuilds the forward columns, and the input gradient re-scatters the
+    column gradient with k*k strided slice additions: a transposed conv
+    there would multiply by the zeros of a gradient dilated by the
+    stride, stride**2 times the FLOPs. Either way the weight gradient
+    comes out tap-major, the order a tap-major weight holds.
     """
     _check_same_dtype(x, w, b)
     if x.data.ndim != 3:
@@ -712,9 +696,10 @@ def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
         q = tanh(conv([r * hidden; x]; wq, bq))
         out = (1 - z) * hidden + z * q
 
-    The tap-major columns of hx are built once, and the z and r GEMMs
-    both read them. The q GEMM reads the same buffer after only its
-    hidden rows are rewritten with the shifts of r * hidden, so a cell
+    The tap-major columns of hx are built once (``_im2col``), and the z
+    and r GEMMs both read them. The q GEMM reads the same buffer after
+    only its hidden rows are rewritten with the shifts of r * hidden
+    (``_shift_taps`` through a (k, k, c, H, W) view of it), so a cell
     builds one (c + C_x)-channel column buffer plus a c-channel rewrite
     instead of three full ones, and is one tape node. The tape keeps no
     columns and not hx: the backward stacks hx again, as it stacks
@@ -743,15 +728,13 @@ def conv_gru(hidden: Tensor, x: Tensor, wz: Tensor, bz: Tensor, wr: Tensor,
                 f"({c},) biases, got {w.shape} and {b.shape}")
 
     n = h * wd
-    cols = np.empty((k, k, both, n), dtype=hidden.data.dtype)
-    _shift_taps(cols, np.concatenate([hidden.data, x.data]).reshape(both, n),
-                h, wd)
-    cm = cols.reshape(k * k * both, n)
+    cm = _im2col(np.concatenate([hidden.data, x.data]), k, 1)
     wmz, wmr, wmq = _weight_matrix(wz), _weight_matrix(wr), _weight_matrix(wq)
     z = _sigmoid(_affine(wmz, cm, bz.data)).reshape(c, h, wd)
     r = _sigmoid(_affine(wmr, cm, br.data)).reshape(c, h, wd)
     rh = r * hidden.data
-    _shift_taps(cols[:, :, :c], rh.reshape(c, n), h, wd)
+    _shift_taps(cm.reshape(k, k, both, h, wd)[:, :, :c], rh.reshape(c, n),
+                wd, 1)
     q = np.tanh(_affine(wmq, cm, bq.data)).reshape(c, h, wd)
     out_data = (1.0 - z) * hidden.data + z * q
 

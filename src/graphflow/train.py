@@ -193,7 +193,7 @@ def run_evaluation(cfg: RunConfig, weights: str | Path,
                         f"prediction for pair {pair_id} is not finite")
                 pair_epe = epe(pred.flow, gt)
                 pair_f1 = f1_all(pred.flow, gt)
-                count = int(gt.valid_mask().sum())
+                count = int(gt.valid.sum())
                 epe_sum += pair_epe * count
                 bad_sum += pair_f1 * count
                 pixel_sum += count

@@ -303,7 +303,7 @@ def test_criterion_09_flow_files_survive_100_round_trips(tmp_path):
         back = read_flo(first)
         write_flo(again, back)
         assert first.read_bytes() == again.read_bytes(), f"trial {trial}"
-        m = back.valid_mask()
+        m = back.valid
         if mask is not None:
             assert np.array_equal(m, mask)
         assert np.array_equal(back.flow[:, m], flow[:, m])

@@ -160,20 +160,26 @@ class TestBitwiseAgainstComposedOps:
 class TestColumnBuilds:
     def test_one_full_build_then_a_rewrite_of_the_hidden_rows(self,
                                                               monkeypatch):
-        calls = []
-        shift = tt._shift_taps
+        builds, calls = [], []
+        im2col, shift = tt._im2col, tt._shift_taps
 
-        def recording(taps, src, h, w):
-            calls.append((taps.shape, src.shape))
-            shift(taps, src, h, w)
+        def building(x, k, stride):
+            builds.append((x.shape, k, stride))
+            return im2col(x, k, stride)
 
+        def recording(taps, src, w, stride):
+            calls.append((taps.shape, src.shape, stride))
+            shift(taps, src, w, stride)
+
+        monkeypatch.setattr(tt, "_im2col", building)
         monkeypatch.setattr(tt, "_shift_taps", recording)
         rng = np.random.default_rng(1)
         args = cell_inputs(rng, 16, 32, 8, 8, np.float32)
         with tt.no_grad():
             conv_gru(**args)
-        assert calls == [((3, 3, 48, 64), (48, 64)),
-                         ((3, 3, 16, 64), (16, 64))]
+        assert builds == [((48, 8, 8), 3, 1)]
+        assert calls == [((3, 3, 48, 8, 8), (48, 64), 1),
+                         ((3, 3, 16, 8, 8), (16, 64), 1)]
 
 
 class TestShapes:

@@ -46,7 +46,7 @@ class TestGenPair:
         i1, i2, gt = gen_pair(spec(mag_min=0.0, mag_max=0.0))
         assert np.array_equal(i1, i2)
         assert np.array_equal(gt.flow, np.zeros_like(gt.flow))
-        assert gt.valid_mask().all()
+        assert gt.valid.all()
 
     def test_peak_displacement_lands_inside_the_magnitude_band(self):
         for idx in range(5):
@@ -58,7 +58,7 @@ class TestGenPair:
     def test_second_frame_is_the_backward_warp_of_the_first(self):
         i1, i2, gt = gen_pair(spec(motion="affine"))
         warped, valid = warp_backward(i1, gt.flow)
-        assert np.array_equal(valid, gt.valid_mask())
+        assert np.array_equal(valid, gt.valid)
         assert np.allclose(i2[:, valid], warped[:, valid], atol=1e-6)
 
     def test_constant_motion_by_integer_shift_is_an_exact_roll(self):
@@ -75,7 +75,7 @@ class TestGenPair:
     def test_every_texture_and_motion_family_generates(self, texture, motion):
         i1, i2, gt = gen_pair(spec(texture=texture, motion=motion))
         assert np.all(np.isfinite(i1)) and np.all(np.isfinite(gt.flow))
-        assert gt.valid_mask().any()
+        assert gt.valid.any()
 
     def test_unknown_family_names_are_rejected(self):
         with pytest.raises(ConfigError):
@@ -94,7 +94,7 @@ class TestFloContainer:
         write_flo(path, FlowField(flow=flow))
         back = read_flo(path)
         assert np.array_equal(back.flow, flow)
-        assert back.valid_mask().all()
+        assert back.valid.all()
 
     def test_single_pixel_file_is_twenty_bytes_little_endian(self, tmp_path):
         path = tmp_path / "b.flo"
@@ -113,7 +113,7 @@ class TestFloContainer:
         path = tmp_path / "c.flo"
         write_flo(path, FlowField(flow=flow, valid=valid))
         back = read_flo(path)
-        assert np.array_equal(back.valid_mask(), valid)
+        assert np.array_equal(back.valid, valid)
         assert np.array_equal(back.flow[:, valid], flow[:, valid])
 
     def test_wrong_magic_is_rejected_with_offset(self, tmp_path):

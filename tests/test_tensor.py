@@ -365,14 +365,15 @@ class TestConv2d:
                    c64(np.zeros(1)))
 
 
-def padded_im2col(x, k):
-    """Stride-1 tap-major columns sliced from a zero-padded copy."""
+def padded_im2col(x, k, s):
+    """Tap-major columns at stride s sliced from a zero-padded copy."""
     c, h, w = x.shape
     p = k // 2
+    ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
     xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
     xp[:, p:p + h, p:p + w] = x
-    return np.stack([xp[:, ki:ki + h, kj:kj + w]
-                     for ki in range(k) for kj in range(k)]).reshape(-1, h * w)
+    return np.stack([xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
+                     for ki in range(k) for kj in range(k)]).reshape(-1, ho * wo)
 
 
 def padded_grad_cols(g, k):
@@ -386,18 +387,23 @@ def padded_grad_cols(g, k):
                     axis=1).reshape(-1, h * w)
 
 
-class TestStrideOneColumns:
+class TestShiftedColumns:
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(c=st.integers(1, 4), h=st.integers(1, 7), w=st.integers(1, 7),
-           k=st.sampled_from([1, 3, 5, 7]), seed=st.integers(0, 2**16))
-    def test_flat_shifts_match_padded_slices_bit_for_bit(self, c, h, w, k,
+           k=st.sampled_from([1, 3, 5, 7]), s=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_flat_shifts_match_padded_slices_bit_for_bit(self, c, h, w, k, s,
                                                           seed):
-        x = np.random.default_rng(seed).standard_normal(
-            (c, h, w)).astype(np.float32)
-        assert tt._im2col(x, k, 1).tobytes() == padded_im2col(x, k).tobytes()
-        assert (tt._grad_cols(x, k).tobytes()
-                == padded_grad_cols(x, k).tobytes())
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c, h, w)).astype(np.float32)
+        xt = rng.standard_normal((c, w, h)).astype(np.float32).transpose(
+            0, 2, 1)                                 # not contiguous
+        for a in (x, xt):
+            assert (tt._im2col(a, k, s).tobytes()
+                    == padded_im2col(a, k, s).tobytes())
+            assert (tt._grad_cols(a, k).tobytes()
+                    == padded_grad_cols(a, k).tobytes())
 
 
 class TestSoftmax:
@@ -596,16 +602,8 @@ class TestBackward:
         """No conv keeps columns on the tape: a stride-1 conv takes both
         gradients from the output gradient's tap-reversed columns, and a
         strided conv rebuilds its columns in backward() for the weight
-        gradient. Only the strided conv pads a copy of its input; the
-        stride-1 one shifts its map and its gradient unpadded."""
+        gradient."""
         made = {"_im2col": [], "_grad_cols": []}
-        padded = []
-
-        def pad(a, p, pad=tt._pad):
-            padded.append(a)
-            return pad(a, p)
-
-        monkeypatch.setattr(tt, "_pad", pad)
 
         def recording(builder):
             def build(*args):
@@ -622,16 +620,12 @@ class TestBackward:
         w2 = p64(rng.normal(size=(4, 3, 3, 3)))
         y = conv2d(x, w, c64(np.zeros(3)))
         assert made["_im2col"][0]() is None
-        assert padded == []                   # the stride-1 forward
         loss = tsum(conv2d(y, w2, c64(np.zeros(4)), stride=2))
         assert made["_im2col"][1]() is None
         loss.backward()
         assert len(made["_im2col"]) == 3      # the strided conv rebuilt its
         assert len(made["_grad_cols"]) == 1   # columns; the stride-1 one did not
         assert all(ref() is None for refs in made.values() for ref in refs)
-        # one pad per strided column build, each of the strided conv's
-        # input; the stride-1 backward padded no gradient
-        assert len(padded) == 2 and all(a is y.data for a in padded)
 
     def test_interior_gradients_are_dropped(self):
         x = p64([1.0, 2.0])
